@@ -29,6 +29,7 @@ from .partitions import (
     count_restricted_by_parity,
     count_restricted_table,
     enumerate_restricted,
+    parity_spec,
     signed_sum,
     signed_sum_terms,
     verify_parity_identity,
@@ -42,6 +43,7 @@ from .products import (
     cancellation_check,
     compare_series,
     expand_factor,
+    expand_paired,
     expand_product,
     jtp_product_spec,
     jtp_theta,
@@ -99,10 +101,12 @@ __all__ = [
     "count_restricted_table",
     "enumerate_restricted",
     "expand_factor",
+    "expand_paired",
     "expand_product",
     "jtp_product_spec",
     "jtp_theta",
     "lambert_series",
+    "parity_spec",
     "pochhammer",
     "scan",
     "signed_sum",

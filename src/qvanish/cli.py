@@ -8,7 +8,8 @@ that argument ("den=-1,-7:8" for (-q, -q^7; q^8)oo in the denominator), and
 coefficients as decimal strings.
 
 Exit codes: 0 success or identity verified, 1 mathematical violation found,
-2 usage or parameter error.
+2 usage or parameter error, 3 unexpected internal error (a crash, reported
+in one line on stderr, never read as a violation).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .partitions import (
     count_restricted,
     count_restricted_by_parity,
     enumerate_restricted,
+    parity_spec,
     signed_sum_terms,
 )
 from .products import (
@@ -426,11 +428,7 @@ def cmd_partitions(args) -> int:
         n = bag.require_int("n")
         bag.finish()
         params = ShiftedQuotientParams(m, k, s, t, "minus")
-        spec = RestrictedPartitionSpec(
-            m * k,
-            repeatable_residues={params.r % (m * k), -params.r % (m * k)},
-            distinct_residues={(params.r - t * k) % (m * k), (t * k - params.r) % (m * k)},
-        )
+        spec = parity_spec(m, k, s, t)
         even, odd = count_restricted_by_parity(spec, n)
         in_class = zero_class(params).contains(n)
         listed = enumerate_restricted(spec, n, cap=args.cap) if args.enumerate else []
@@ -557,6 +555,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidParams, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

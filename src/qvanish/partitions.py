@@ -2,9 +2,13 @@
 
 Partitions here are restricted to parts lying in prescribed residue classes
 modulo a fixed modulus, with each class marked repeatable (parts may recur)
-or distinct (each part value at most once).  Counting is exact dynamic
-programming: unbounded-knapsack transitions for repeatable parts, 0/1
-transitions for distinct parts, optionally tracking the parity of the total
+or distinct (each part value at most once).  Counts are the coefficients of
+the generating product, expanded exactly: a repeatable residue res gives
+1/(q^res; q^M) (residue 0: 1/(q^M; q^M)) and a distinct residue d gives
+(-q^d; q^M).  When residues pair as +-a the pairs are divided out by the
+Jacobi triple product (products.expand_paired); a part cap below n keeps
+the plain linear passes.  Flipping every argument sign weights each part by
+-1, which gives sum (even - odd) q^n and so the split by the parity of the
 number of parts.
 
 Two combinatorial consequences of the vanishing theorems live here:
@@ -25,6 +29,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .errors import InvalidParams, TooLarge
+from .products import ProductSpec, expand_paired, pochhammer
 from .vanishing import ResidueClass, ShiftedQuotientParams, zero_class
 
 __all__ = [
@@ -40,6 +45,7 @@ __all__ = [
     "signed_sum",
     "signed_sum_terms",
     "count_parity_split",
+    "parity_spec",
     "enumerate_restricted",
     "verify_parity_identity",
 ]
@@ -163,20 +169,23 @@ class Partition:
 # -- counting ------------------------------------------------------------------
 
 
-def count_restricted_table(spec: RestrictedPartitionSpec, n_max: int) -> list[int]:
-    """Exact counts for every 0 <= n <= n_max, from one DP pass."""
+def _expand(spec: RestrictedPartitionSpec, n_max: int, sign: int) -> list[int]:
+    """Coefficients up to q^n_max of the generating product, each part weighted by sign."""
     if n_max < 0:
         raise InvalidParams(f"n_max must be >= 0, got {n_max}")
-    rep, dist = spec.parts_up_to(n_max)
-    dp = [0] * (n_max + 1)
-    dp[0] = 1
-    for p in rep:
-        for i in range(p, n_max + 1):
-            dp[i] += dp[i - p]
-    for p in dist:
-        for i in range(n_max, p - 1, -1):
-            dp[i] += dp[i - p]
-    return dp
+    M = spec.modulus
+    product = ProductSpec(
+        1,
+        0,
+        pochhammer(sorted(spec.distinct_residues), M, -sign),
+        pochhammer(sorted(res or M for res in spec.repeatable_residues), M, sign),
+    )
+    return list(expand_paired(product, n_max + 1, spec.max_part).coeffs)
+
+
+def count_restricted_table(spec: RestrictedPartitionSpec, n_max: int) -> list[int]:
+    """Exact counts for every 0 <= n <= n_max, from one product expansion."""
+    return _expand(spec, n_max, 1)
 
 
 def count_restricted(spec: RestrictedPartitionSpec, n: int) -> int:
@@ -184,30 +193,14 @@ def count_restricted(spec: RestrictedPartitionSpec, n: int) -> int:
     return count_restricted_table(spec, n)[n]
 
 
-def _parity_tables(spec: RestrictedPartitionSpec, n_max: int) -> tuple[list[int], list[int]]:
-    """Counts split by parity of the number of parts, for every n <= n_max."""
-    if n_max < 0:
-        raise InvalidParams(f"n_max must be >= 0, got {n_max}")
-    rep, dist = spec.parts_up_to(n_max)
-    even = [0] * (n_max + 1)
-    odd = [0] * (n_max + 1)
-    even[0] = 1
-    # Each added copy of a part flips the parity.  Ascending scan reuses the
-    # already-updated state at i-p, which is exactly the unbounded transition.
-    for p in rep:
-        for i in range(p, n_max + 1):
-            even[i], odd[i] = even[i] + odd[i - p], odd[i] + even[i - p]
-    # Descending scan sees the pre-part state at i-p: each part used at most once.
-    for p in dist:
-        for i in range(n_max, p - 1, -1):
-            even[i], odd[i] = even[i] + odd[i - p], odd[i] + even[i - p]
-    return even, odd
+def _parity_pair(total: int, signed: int) -> ParityCountPair:
+    """Even/odd counts from the total count and the signed count even - odd."""
+    return ParityCountPair((total + signed) // 2, (total - signed) // 2)
 
 
 def count_restricted_by_parity(spec: RestrictedPartitionSpec, n: int) -> ParityCountPair:
     """Counts of spec-partitions of n with evenly/oddly many parts."""
-    even, odd = _parity_tables(spec, n)
-    return ParityCountPair(even[n], odd[n])
+    return _parity_pair(_expand(spec, n, 1)[n], _expand(spec, n, -1)[n])
 
 
 # -- the signed-sum identity ------------------------------------------------------
@@ -268,7 +261,8 @@ def signed_sum(m: int, k: int, s: int, t: int, n: int) -> int:
 # -- the parity-split identity -----------------------------------------------------
 
 
-def _parity_spec(m: int, k: int, s: int, t: int) -> RestrictedPartitionSpec:
+def parity_spec(m: int, k: int, s: int, t: int) -> RestrictedPartitionSpec:
+    """Repeatable parts = +-r and distinct parts = +-(r - tk) (mod mk), r = sm + t."""
     params = ShiftedQuotientParams(m, k, s, t, "minus")  # validates, needs odd k
     r, mk, tk = params.r, m * k, t * k
     # The residue pairs never collide: +-r = +-(r-tk) mod mk forces either
@@ -285,7 +279,7 @@ def count_parity_split(m: int, k: int, s: int, t: int, n: int) -> ParityCountPai
     """Even/odd part-count split for the theorem's repeatable/distinct mix."""
     if n < 0:
         raise InvalidParams(f"n must be >= 0, got {n}")
-    return count_restricted_by_parity(_parity_spec(m, k, s, t), n)
+    return count_restricted_by_parity(parity_spec(m, k, s, t), n)
 
 
 @dataclass(frozen=True)
@@ -315,11 +309,13 @@ def verify_parity_identity(m: int, k: int, s: int, t: int, n_max: int) -> Parity
         raise InvalidParams(f"n_max must be >= 0, got {n_max}")
     params = ShiftedQuotientParams(m, k, s, t, "minus")
     cls = zero_class(params)
-    even, odd = _parity_tables(_parity_spec(m, k, s, t), n_max)
+    spec = parity_spec(m, k, s, t)
+    total = _expand(spec, n_max, 1)
+    signed = _expand(spec, n_max, -1)  # sum (even - odd) q^n
     violations = tuple(
-        (e, even[e], odd[e])
+        (e, *_parity_pair(total[e], signed[e]))
         for e in range(cls.residue, n_max + 1, k)
-        if even[e] != odd[e]
+        if signed[e]
     )
     return ParityIdentityReport(
         params={"m": m, "k": k, "s": s, "t": t},

@@ -11,6 +11,11 @@ chain mod e.  Both cost O(order) per linear factor, so a full Pochhammer
 symbol costs O(order^2 / M) and stays comfortably fast in pure Python at
 window sizes of a few thousand.
 
+expand_paired computes the same quotients faster when factors pair up as
+(x q^a, x q^{M-a}; q^M): by the triple product each pair is a sparse theta
+series over (q^M; q^M), so the quotient becomes sparse series multiplied and
+divided at O(order * sqrt(order / M)) each.
+
 Beyond plain expansion the module knows three classical facts needed by the
 vanishing-coefficient checks:
 
@@ -26,9 +31,11 @@ vanishing-coefficient checks:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd, isqrt
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import Degenerate, InvalidParams
@@ -42,6 +49,7 @@ __all__ = [
     "pochhammer",
     "expand_factor",
     "expand_product",
+    "expand_paired",
     "jtp_theta",
     "jtp_product_spec",
     "lambert_series",
@@ -150,29 +158,61 @@ def expand_factor(f: PochhammerFactor, order: int) -> LaurentSeries:
     return LaurentSeries(0, coeffs, order)
 
 
-def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
-    """Exact expansion of the denoted quotient; window [prefactor_exponent, order)."""
+def _linear_passes(coeffs: list[int], numerator, denominator, stop: int) -> None:
+    """In place, apply every linear factor (1 -+ q^e) with e < stop of each factor."""
+    for f in numerator:
+        for e in range(f.offset, stop, f.modulus):
+            _mul_linear(coeffs, e, f.arg_sign)
+    for f in denominator:
+        for e in range(f.offset, stop, f.modulus):
+            _div_linear(coeffs, e, f.arg_sign)
+
+
+def _window(spec: ProductSpec, order: int) -> int:
+    """Length of the coefficient block expanded for spec up to order."""
     length = order - spec.prefactor_exponent
     if length < 0:
         raise InvalidParams(
             f"order {order} is below the prefactor exponent {spec.prefactor_exponent}"
         )
+    return length
+
+
+def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
+    """Exact expansion of the denoted quotient; window [prefactor_exponent, order)."""
+    length = _window(spec, order)
     if length == 0:
         return LaurentSeries(order, (), order)
     coeffs = [0] * length
     coeffs[0] = 1
-    for f in spec.numerator:
-        for e in range(f.offset, length, f.modulus):
-            _mul_linear(coeffs, e, f.arg_sign)
-    for f in spec.denominator:
-        for e in range(f.offset, length, f.modulus):
-            _div_linear(coeffs, e, f.arg_sign)
+    _linear_passes(coeffs, spec.numerator, spec.denominator, length)
     return LaurentSeries(0, coeffs, length).monomial_mul(
         spec.prefactor_sign, spec.prefactor_exponent
     )
 
 
 # -- Jacobi triple product ---------------------------------------------------
+
+
+def _theta_terms(M: int, a: int, order: int, z: int = -1) -> dict[int, int]:
+    """Exponent -> coefficient of sum_{j in Z} z^j q^{M*j*(j+1)/2 - a*j} below order.
+
+    Every exponent some j reaches is a key, also where the terms cancel to 0.
+    """
+    # Exponent E(j) = M*j(j+1)/2 - a*j is below `order` between the roots of
+    # M*j^2 + (M - 2a)*j - 2*order = 0; scan that j-range with exact checks.
+    b = M - 2 * a
+    disc = b * b + 8 * M * order
+    terms: dict[int, int] = {}
+    if disc >= 0:
+        root = isqrt(disc)
+        lo = (-b - root) // (2 * M) - 1
+        hi = (-b + root) // (2 * M) + 1
+        for j in range(lo, hi + 1):
+            e = M * j * (j + 1) // 2 - a * j
+            if e < order:
+                terms[e] = terms.get(e, 0) + (1 if z == 1 or j % 2 == 0 else -1)
+    return terms
 
 
 def jtp_theta(M: int, a: int, order: int) -> LaurentSeries:
@@ -186,19 +226,7 @@ def jtp_theta(M: int, a: int, order: int) -> LaurentSeries:
         raise InvalidParams(f"M must be >= 1, got {M}")
     if order < 0:
         raise InvalidParams(f"order must be >= 0, got {order}")
-    # Exponent E(j) = M*j(j+1)/2 - a*j is below `order` between the roots of
-    # M*j^2 + (M - 2a)*j - 2*order = 0; scan that j-range with exact checks.
-    b = M - 2 * a
-    disc = b * b + 8 * M * order
-    terms: dict[int, int] = {}
-    if disc >= 0:
-        root = isqrt(disc)
-        lo = (-b - root) // (2 * M) - 1
-        hi = (-b + root) // (2 * M) + 1
-        for j in range(lo, hi + 1):
-            e = M * j * (j + 1) // 2 - a * j
-            if e < order:
-                terms[e] = terms.get(e, 0) + (1 if j % 2 == 0 else -1)
+    terms = _theta_terms(M, a, order)
     if not terms:
         return LaurentSeries(order, (), order)
     val = min(min(terms), order)
@@ -213,6 +241,109 @@ def jtp_product_spec(M: int, a: int) -> ProductSpec:
     if not 0 < a < M:
         raise InvalidParams(f"need 0 < a < M, got a={a}, M={M}")
     return ProductSpec(1, 0, pochhammer((a, M - a, M), M), ())
+
+
+# -- paired (theta) expansion ------------------------------------------------
+
+
+def _mul_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> list[int]:
+    """coeffs times 1 + sum(c q^e for (e, c) in terms), every e >= 1."""
+    out = coeffs[:]
+    for e, c in terms:
+        op = add if c > 0 else sub
+        for _ in range(abs(c)):
+            out[e:] = map(op, out[e:], coeffs)
+    return out
+
+
+def _div_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> None:
+    """In place, divide by 1 + sum(c q^e for (e, c) in terms), e >= 1 ascending.
+
+    y_n = x_n - sum(c * y_{n-e}).  Between consecutive exponents the set of
+    terms with e <= n is fixed; each coefficient then costs two sums over it,
+    one for each sign, with |c| > 1 written as a repeated exponent.
+    """
+    added: list[int] = []  # e with y_{n-e} added, i.e. c < 0
+    subtracted: list[int] = []
+    stops = [e for e, _ in terms[1:]] + [len(coeffs)]
+    for (e, c), stop in zip(terms, stops):
+        (subtracted if c > 0 else added).extend([e] * abs(c))
+        for n in range(e, stop):
+            coeffs[n] += sum([coeffs[n - d] for d in added]) - sum(
+                [coeffs[n - d] for d in subtracted]
+            )
+
+
+def _split_pairs(factors: Sequence[PochhammerFactor]):
+    """Split a factor list into (unpaired factors, theta pairs, (q^M; q^M) powers).
+
+    A pair (x q^a, x q^{M-a}; q^M) with 0 < a < M is recorded as (-x, a, M):
+    by the triple product it equals sum_j (-x)^j q^{M j(j+1)/2 - a j} divided
+    by (q^M; q^M), so each pair lowers the power of (q^M; q^M) by one and
+    each factor (q^M; q^M) itself raises it by one.
+    """
+    pool = Counter((f.arg_sign, f.offset, f.modulus) for f in factors)
+    pairs: list[tuple[int, int, int]] = []
+    powers: Counter[int] = Counter()
+    for key in sorted(pool):
+        x, a, M = key
+        if x == 1 and a == M:
+            powers[M] += pool.pop(key)
+        elif 0 < a < M:
+            partner = (x, M - a, M)
+            n = pool[key] // 2 if partner == key else min(pool[key], pool[partner])
+            pool[key] -= n
+            pool[partner] -= n
+            pairs += [(-x, a, M)] * n
+            powers[M] -= n
+    unpaired = [PochhammerFactor(*key) for key, n in sorted(pool.items()) for _ in range(n)]
+    return unpaired, pairs, powers
+
+
+def expand_paired(
+    spec: ProductSpec, order: int, max_exponent: int | None = None
+) -> LaurentSeries:
+    """expand_product(spec, order), dividing out factor pairs by the triple product.
+
+    Pairs (x q^a, x q^{M-a}; q^M) become sparse theta series, the net power of
+    each (q^M; q^M) is applied through Euler's pentagonal series (the theta
+    series of (q^M, q^{2M}, q^{3M}; q^{3M})), and sparse numerators and
+    denominators are multiplied and divided in O(order * sqrt(order / M))
+    each.  Unpaired factors take the linear passes of expand_product.
+
+    With max_exponent, only the linear factors (1 -+ q^e) with e <=
+    max_exponent are kept.  Such a truncated product is no theta series, so
+    when the cap falls inside the window every factor takes the linear path.
+    """
+    length = _window(spec, order)
+    if length == 0:
+        return LaurentSeries(order, (), order)
+    coeffs = [0] * length
+    coeffs[0] = 1
+    if max_exponent is not None and max_exponent < length - 1:
+        _linear_passes(coeffs, spec.numerator, spec.denominator, max_exponent + 1)
+    else:
+        num, num_pairs, num_powers = _split_pairs(spec.numerator)
+        den, den_pairs, den_powers = _split_pairs(spec.denominator)
+        num_powers.subtract(den_powers)
+        for M, power in sorted(num_powers.items()):
+            pentagonal = [(-1, M, 3 * M)] * abs(power)
+            if power > 0:
+                num_pairs += pentagonal
+            else:
+                den_pairs += pentagonal
+        _linear_passes(coeffs, num, den, length)
+
+        def sparse(z, a, M):
+            return sorted((e, c) for e, c in _theta_terms(M, a, length, z).items() if e and c)
+
+        for pair in num_pairs:
+            coeffs = _mul_sparse(coeffs, sparse(*pair))
+        for pair in den_pairs:
+            _div_sparse(coeffs, sparse(*pair))
+    return LaurentSeries(0, coeffs, length).monomial_mul(
+        spec.prefactor_sign, spec.prefactor_exponent
+    )
 
 
 # -- the specialized bilateral summation -------------------------------------

@@ -24,6 +24,7 @@ the normalization shifts the vanishing class from -rs to tk - r - rs mod k.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
@@ -386,10 +387,14 @@ def scan(
 
     Tuples violating the family's invariants are skipped and returned with
     the reason.  Output order is deterministic (lexicographic in the
-    parameters).  jobs > 1 fans the expansions out over processes.
+    parameters).  jobs > 1 fans the expansions out over processes, at most
+    one per CPU.
     """
     if order < 1:
         raise InvalidParams(f"order must be >= 1, got {order}")
+    if jobs < 1:
+        raise InvalidParams(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     family = family.lower()
     cls = _FAMILY_TYPES.get(family)
     if cls is None:

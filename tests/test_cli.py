@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+import qvanish.cli
 from qvanish.cli import main
 from qvanish.partitions import RestrictedPartitionSpec, count_restricted
 from qvanish.vanishing import ShiftedQuotientParams, verify_vanishing
@@ -185,6 +186,25 @@ def test_scan_json_deterministic_and_parallel_identical(capsys):
     assert first == second
     code, parallel, _ = run(capsys, *argv, "--jobs=2")
     assert parallel == first
+
+
+def test_scan_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-1"):
+        code, out, err = run(capsys, "scan", "family=ab", "k=6", "order=50", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "jobs must be >= 1" in err
+
+
+def test_unexpected_error_exits_3(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("kernel exploded")
+
+    monkeypatch.setattr(qvanish.cli, "cmd_expand", crash)
+    code, out, err = run(capsys, "expand", "num=1:2", "order=5")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: kernel exploded\n"
 
 
 def test_scan_requires_family_and_k(capsys):

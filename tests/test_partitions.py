@@ -16,6 +16,7 @@ from qvanish.partitions import (
     count_restricted_by_parity,
     count_restricted_table,
     enumerate_restricted,
+    parity_spec,
     signed_sum,
     signed_sum_terms,
     verify_parity_identity,
@@ -26,6 +27,46 @@ from qvanish.vanishing import ShiftedQuotientParams, build_spec
 
 def all_parts(modulus=1):
     return RestrictedPartitionSpec(modulus, {i for i in range(modulus)})
+
+
+# -- reference dynamic programming ----------------------------------------------
+# Per-part knapsack loops, independent of the product expansion the package
+# uses: the oracle every count table is cross-checked against.
+
+
+def reference_table(spec, n_max):
+    rep, dist = spec.parts_up_to(n_max)
+    dp = [0] * (n_max + 1)
+    dp[0] = 1
+    for p in rep:  # ascending: unbounded use of each part
+        for i in range(p, n_max + 1):
+            dp[i] += dp[i - p]
+    for p in dist:  # descending: each part at most once
+        for i in range(n_max, p - 1, -1):
+            dp[i] += dp[i - p]
+    return dp
+
+
+def reference_parity_tables(spec, n_max):
+    rep, dist = spec.parts_up_to(n_max)
+    even = [0] * (n_max + 1)
+    odd = [0] * (n_max + 1)
+    even[0] = 1
+    # each added copy of a part swaps the parity
+    for p in rep:
+        for i in range(p, n_max + 1):
+            even[i], odd[i] = even[i] + odd[i - p], odd[i] + even[i - p]
+    for p in dist:
+        for i in range(n_max, p - 1, -1):
+            even[i], odd[i] = even[i] + odd[i - p], odd[i] + even[i - p]
+    return even, odd
+
+
+def assert_matches_reference(spec, n_max):
+    assert count_restricted_table(spec, n_max) == reference_table(spec, n_max), spec
+    even, odd = reference_parity_tables(spec, n_max)
+    for n in {0, n_max // 3, n_max // 2, n_max}:
+        assert count_restricted_by_parity(spec, n) == (even[n], odd[n]), (spec, n)
 
 
 def test_spec_validation():
@@ -108,6 +149,51 @@ def test_counts_match_enumeration_randomized():
             for d in dist:
                 sized = [part for part in p.parts if part % modulus == d]
                 assert len(set(sized)) == len(sized)
+
+
+def test_counts_match_reference_dp_on_chosen_specs():
+    cases = [
+        RestrictedPartitionSpec(1, {0}),  # modulus 1: all partitions
+        RestrictedPartitionSpec(30, {0, 1, 29}),  # residue 0 plus a pair
+        RestrictedPartitionSpec(12, {6}),  # residue M/2, unpaired
+        RestrictedPartitionSpec(12, {0, 6}, {5, 7}),
+        RestrictedPartitionSpec(10, (), {3, 7}),  # distinct-only pair
+        RestrictedPartitionSpec(10, (), {3, 4}),  # distinct-only, unpaired
+        RestrictedPartitionSpec(10, {1, 9, 4}),  # repeatable-only, one unpaired
+        RestrictedPartitionSpec(30, {13, 17}, {2, 28}),  # the parity-identity mix
+        RestrictedPartitionSpec(2, {1}, ()),  # odd parts: residue M/2 again
+        RestrictedPartitionSpec(7),  # no parts at all
+    ]
+    for spec in cases:
+        assert_matches_reference(spec, 400)
+
+
+def test_counts_match_reference_dp_with_part_cap():
+    n = 300
+    for max_part in (1, 29, n - 1, n, n + 1, 10 * n):
+        for spec in (
+            RestrictedPartitionSpec(30, {0, 1, 29}, max_part=max_part),
+            RestrictedPartitionSpec(8, {3, 5}, {1, 7}, max_part=max_part),
+            RestrictedPartitionSpec(1, {0}, max_part=max_part),
+        ):
+            assert_matches_reference(spec, n)
+
+
+def test_counts_match_reference_dp_randomized():
+    rng = random.Random(5150)
+    for _ in range(120):
+        modulus = rng.randint(1, 16)
+        residues = list(range(modulus))
+        rng.shuffle(residues)
+        rep = set(residues[: rng.randint(0, modulus)])
+        pool = [res for res in range(1, modulus) if res not in rep]
+        dist = {res for res in pool if rng.random() < 0.4}
+        if rng.random() < 0.5:  # favour paired residues: close rep and dist under negation
+            rep |= {(-res) % modulus for res in rep if (-res) % modulus not in dist}
+            dist |= {(-res) % modulus for res in dist if (-res) % modulus not in rep}
+        n_max = rng.randint(0, 400)
+        max_part = rng.choice([None, None, rng.randint(1, 450), n_max or 1])
+        assert_matches_reference(RestrictedPartitionSpec(modulus, rep, dist, max_part), n_max)
 
 
 def test_counts_match_product_expansion():
@@ -270,6 +356,16 @@ def test_parity_identity_not_vacuous():
         if n % 15 != 14
         for even, odd in [count_restricted_by_parity(spec, n)]
     )
+
+
+def test_parity_spec_residues():
+    assert parity_spec(2, 15, 8, 1) == RestrictedPartitionSpec(
+        30, repeatable_residues={17, 13}, distinct_residues={2, 28}
+    )
+    # r = 2 < tk = 6: the distinct pair is +-(r - tk) = 5, 4 (mod 9)
+    assert parity_spec(3, 3, 0, 2) == RestrictedPartitionSpec(9, {2, 7}, {5, 4})
+    with pytest.raises(InvalidParams):
+        parity_spec(3, 4, 1, 2)
 
 
 def test_parity_split_requires_odd_k():

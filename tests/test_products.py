@@ -21,6 +21,7 @@ from qvanish.products import (
     bilateral_product_spec,
     cancellation_check,
     expand_factor,
+    expand_paired,
     expand_product,
     jtp_product_spec,
     jtp_theta,
@@ -175,6 +176,27 @@ def test_theta_negative_offset_reflection():
         assert lhs == jtp_theta(M, c, 60 + c).monomial_mul(-1, -c)
 
 
+def test_theta_matches_direct_sum_for_every_integer_argument():
+    # the window comes from the discriminant; a direct sum over a generous j
+    # range must give the same terms, the same valuation and the same order
+    for M in (1, 2, 5, 8):
+        for a in range(-3 * M - 2, 4 * M + 3):
+            for order in (0, 1, 7, 40):
+                exponents = {}
+                for j in range(-60, 61):
+                    e = M * j * (j + 1) // 2 - a * j
+                    if e < order:
+                        exponents[e] = exponents.get(e, 0) + (-1) ** (j % 2)
+                val = min(min(exponents, default=order), order)
+                coeffs = [exponents.get(e, 0) for e in range(val, order)]
+                theta = jtp_theta(M, a, order)
+                assert (theta.valuation, list(theta.coeffs), theta.order) == (
+                    val,
+                    coeffs,
+                    order,
+                ), (M, a, order)
+
+
 def test_theta_empty_window():
     s = jtp_theta(5, 2, 0)
     assert s.order == 0 and not list(s.items())
@@ -185,6 +207,38 @@ def test_jtp_product_spec_range():
         jtp_product_spec(5, 0)
     with pytest.raises(InvalidParams):
         jtp_product_spec(5, 5)
+
+
+# -- paired expansion ------------------------------------------------------------
+
+
+def test_paired_expansion_matches_linear_on_family_quotients():
+    specs = [
+        quotient((3, 5), (1, 7), 8),
+        quotient((1, 4), (2, 3), 5),
+        ProductSpec(1, 0, pochhammer((1, 8), 9), pochhammer((2, 7), 9, -1)),
+        bilateral_product_spec(BilateralSpecialization(2, 15, 1, 1)),
+        bilateral_product_spec(BilateralSpecialization(3, 3, 2, 1)),  # negative prefactor
+        jtp_product_spec(12, 5),
+        quotient((), (1, 29, 30), 30),  # partitions into parts 0, +-1 mod 30
+        quotient((4, 4), (8,), 8),  # a = M/2 pairs with itself
+        quotient((1, 2, 3), (1, 2), 7),  # unpaired factors only
+    ]
+    for spec in specs:
+        for order in (0, 1, 60, 301):
+            if order >= spec.prefactor_exponent:
+                assert expand_paired(spec, order) == expand_product(spec, order), spec
+
+
+def test_paired_expansion_cap():
+    spec = quotient((), (1, 29, 30), 30)
+    # a cap at or past the window changes nothing
+    for cap in (99, 100, 1000):
+        assert expand_paired(spec, 100, max_exponent=cap) == expand_product(spec, 100)
+    # parts up to 5: only the factor 1/(1 - q) is left
+    assert list(expand_paired(spec, 20, max_exponent=5).coeffs) == [1] * 20
+    with pytest.raises(InvalidParams):
+        expand_paired(ProductSpec(1, 5, (), ()), 4)
 
 
 # -- bilateral specialization --------------------------------------------------

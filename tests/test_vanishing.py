@@ -326,3 +326,33 @@ def test_scan_parallel_matches_serial():
     parallel = scan(range(2, 5), range(2, 4), 120, "plus", jobs=2)
     assert [r.to_json_dict() for r in serial] == [r.to_json_dict() for r in parallel]
     assert serial.skipped == parallel.skipped
+
+
+def test_scan_jobs_validated_and_capped_at_cpu_count(monkeypatch):
+    import qvanish.vanishing as vanishing
+
+    with pytest.raises(InvalidParams):
+        scan(range(2, 4), range(2, 4), 100, "plus", jobs=0)
+    with pytest.raises(InvalidParams):
+        scan(range(2, 4), range(2, 4), 100, "plus", jobs=-1)
+
+    started = []
+
+    class SerialPool:  # records the pool size instead of starting processes
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(vanishing, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(vanishing.os, "cpu_count", lambda: 3)
+    result = scan(range(2, 5), range(2, 4), 60, "plus", jobs=10**6)
+    assert started == [3]
+    assert result.reports == scan(range(2, 5), range(2, 4), 60, "plus").reports
