@@ -6,10 +6,10 @@ The objects here are quotients of q-Pochhammer symbols
 
 truncated to a finite exponent window.  Expansion works one linear factor
 (1 -+ q^e) at a time: multiplying by such a factor is a single shifted
-subtraction pass, dividing by it is a running-sum pass along each residue
-chain mod e.  Both cost O(order) per linear factor, so a full Pochhammer
-symbol costs O(order^2 / M) and stays comfortably fast in pure Python at
-window sizes of a few thousand.
+subtraction pass, dividing by it adds or subtracts each block of e
+coefficients into the next, block after block.  Both cost O(order) per
+linear factor, so a full Pochhammer symbol costs O(order^2 / M) and stays
+comfortably fast in pure Python at window sizes of a few thousand.
 
 expand_paired computes the same quotients faster when factors pair up as
 (x q^a, x q^{M-a}; q^M): by the triple product each pair is a sparse theta
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import count
 from math import gcd, isqrt
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -135,14 +135,14 @@ def _mul_linear(coeffs: list[int], e: int, sign: int) -> None:
 
 
 def _div_linear(coeffs: list[int], e: int, sign: int) -> None:
-    """In place, divide by (1 - sign*q^e): y_n = x_n + sign*y_{n-e}."""
-    n = len(coeffs)
-    for res in range(min(e, n)):
-        chain = coeffs[res::e]
-        if sign == 1:
-            coeffs[res::e] = accumulate(chain)
-        else:
-            coeffs[res::e] = accumulate(chain, lambda acc, x: x - acc)
+    """In place, divide by (1 - sign*q^e): y_n = x_n + sign*y_{n-e}.
+
+    Each block of e coefficients depends only on the block before it, which
+    is final by then, so one map per block suffices.
+    """
+    op = add if sign == 1 else sub
+    for i in range(e, len(coeffs), e):
+        coeffs[i : i + e] = map(op, coeffs[i : i + e], coeffs[i - e : i])
 
 
 def expand_factor(f: PochhammerFactor, order: int) -> LaurentSeries:
@@ -375,6 +375,21 @@ class BilateralSpecialization:
             )
 
 
+def _add_geometric(
+    coeffs: list[int], progressions: Iterable[tuple[int, int]], delta: int
+) -> None:
+    """In place, add delta * q^start / (1 - q^step) for each (start, step).
+
+    Starts must increase: the progressions are read only up to the first
+    start past the window, so an endless generator is fine.
+    """
+    for start, step in progressions:
+        if start >= len(coeffs):
+            return
+        for e in range(start, len(coeffs), step):
+            coeffs[e] += delta
+
+
 def lambert_series(p: BilateralSpecialization, order: int) -> LaurentSeries:
     """The bilateral sum for p, written as two unilateral Lambert-type sums.
 
@@ -389,18 +404,9 @@ def lambert_series(p: BilateralSpecialization, order: int) -> LaurentSeries:
     mk, tk = m * k, t * k
     c = [0] * order
     # n = 0: 1/(1-q^{-tk}) = -q^{tk}/(1-q^{tk}) = -(q^{tk} + q^{2tk} + ...)
-    for e in range(tk, order, tk):
-        c[e] -= 1
-    n = 1
-    while r * n < order:
-        for e in range(r * n, order, n * mk - tk):
-            c[e] += 1
-        n += 1
-    n = 1
-    while n * (mk - r) + tk < order:
-        for e in range(n * (mk - r) + tk, order, n * mk + tk):
-            c[e] -= 1
-        n += 1
+    _add_geometric(c, [(tk, tk)], -1)
+    _add_geometric(c, ((r * n, n * mk - tk) for n in count(1)), 1)
+    _add_geometric(c, ((n * (mk - r) + tk, n * mk + tk) for n in count(1)), -1)
     return LaurentSeries(0, c, order)
 
 
@@ -462,14 +468,17 @@ def verify_1psi1(
 
     Both sides are expanded independently: the left from the two Lambert-type
     sums, the right from bilateral_product_spec(p) (or an explicitly supplied
-    spec, which lets tests run deliberately broken right sides).  Returns a
-    truthy IdentityCheck, or a falsy one carrying the first disagreement.
+    spec, which lets tests run deliberately broken right sides) through
+    expand_paired.  Every factor of bilateral_product_spec pairs up, so by
+    the triple product the right side is (q^{mk}; q^{mk})^3 theta / (theta
+    theta), all sparse series.  Returns a truthy
+    IdentityCheck, or a falsy one carrying the first disagreement.
     """
     tk = p.t * p.k
     lhs = lambert_series(p, order + tk).monomial_mul(-1, -tk)
     if rhs_spec is None:
         rhs_spec = bilateral_product_spec(p)
-    rhs = expand_product(rhs_spec, order)
+    rhs = expand_paired(rhs_spec, order)
     return compare_series(lhs, rhs)
 
 
@@ -491,18 +500,8 @@ def cancellation_check(p: BilateralSpecialization, s: int, order: int) -> Identi
     mk, tk = m * k, t * k
     pos = [0] * order
     neg = [0] * order
-    n = 1
-    while r * (n * k - s) < order:
-        big = n * k - s
-        for e in range(r * big, order, big * mk - tk):
-            pos[e] += 1
-        n += 1
-    n = 0
-    while (n * k + s) * (mk - r) + tk < order:
-        big = n * k + s
-        for e in range(big * (mk - r) + tk, order, big * mk + tk):
-            neg[e] += 1
-        n += 1
+    _add_geometric(pos, ((r * big, big * mk - tk) for big in count(k - s, k)), 1)
+    _add_geometric(neg, ((big * (mk - r) + tk, big * mk + tk) for big in count(s, k)), 1)
     for e, (a, b) in enumerate(zip(pos, neg)):
         if a != b:
             return IdentityCheck(False, e, a, b)

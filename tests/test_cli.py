@@ -337,6 +337,17 @@ def test_identity_jtp(capsys):
     assert code == 2
 
 
+def test_identity_jtp_product_side_stays_linear(capsys, monkeypatch):
+    # The paired expansion is itself built on theta series; on the product
+    # side it would compare jtp_theta with itself.
+    def no_pairing(factors):
+        raise AssertionError("identity jtp must expand its product linearly")
+
+    monkeypatch.setattr("qvanish.products._split_pairs", no_pairing)
+    code, out, _ = run(capsys, "identity", "jtp", "M=9", "a=4", "order=200")
+    assert (code, out.strip()) == (0, "pass")
+
+
 def test_identity_lambert_cancel_negative_control(capsys):
     # r = sm + t fails for every s < k, so the sums genuinely differ
     code, out, _ = run(

@@ -29,6 +29,7 @@ from qvanish.products import (
     pochhammer,
     verify_1psi1,
 )
+from qvanish.products import _div_linear, _mul_linear
 
 
 def quotient(num: tuple[int, ...], den: tuple[int, ...], modulus: int) -> ProductSpec:
@@ -135,6 +136,31 @@ def test_expand_product_matches_invert_path():
         assert expand_product(spec, 60) == expand_via_invert(spec, 60)
 
 
+def naive_div_linear(coeffs: list[int], e: int, sign: int) -> list[int]:
+    """y_n = x_n + sign*y_{n-e}, one coefficient at a time."""
+    y = list(coeffs)
+    for n in range(e, len(y)):
+        y[n] += sign * y[n - e]
+    return y
+
+
+def test_div_linear_matches_naive_recurrence_and_inverts_mul():
+    rng = random.Random(7)
+    for n in (1, 2, 9, 30):
+        # e = 1, a short final block, e = n-1, e = n and e > n
+        for e in sorted({1, 4, 7, max(n - 1, 1), n, n + 3}):
+            for sign in (1, -1):
+                for big in (False, True):
+                    x = [rng.randrange(-50, 51) for _ in range(n)]
+                    if big:  # coefficients past 64-bit machine integers
+                        x = [c * 2**70 + rng.randrange(2**64) for c in x]
+                    y = list(x)
+                    _div_linear(y, e, sign)
+                    assert y == naive_div_linear(x, e, sign), (n, e, sign)
+                    _mul_linear(y, e, sign)
+                    assert y == x, (n, e, sign)
+
+
 def test_expand_product_window_bounds():
     spec = ProductSpec(1, 3, (), ())
     with pytest.raises(InvalidParams):
@@ -228,6 +254,24 @@ def test_paired_expansion_matches_linear_on_family_quotients():
         for order in (0, 1, 60, 301):
             if order >= spec.prefactor_exponent:
                 assert expand_paired(spec, order) == expand_product(spec, order), spec
+
+
+def valid_specializations(max_m: int, max_k: int):
+    for m in range(2, max_m + 1):
+        for k in range(2, max_k + 1):
+            for t in range(1, m):
+                for r in range(1, m * k):
+                    if r != t * k:
+                        yield BilateralSpecialization(m, k, t, r)
+
+
+def test_paired_expansion_matches_linear_on_every_1psi1_right_side():
+    seen_shifted = 0
+    for p in valid_specializations(5, 5):
+        spec = bilateral_product_spec(p)
+        seen_shifted += p.r < p.t * p.k
+        assert expand_paired(spec, 120) == expand_product(spec, 120), p
+    assert seen_shifted > 100  # r < tk, the negative-prefactor rewrite
 
 
 def test_paired_expansion_cap():

@@ -1,4 +1,5 @@
-"""Property tests: the paired (theta) expansion against the linear one."""
+"""Property tests: the paired (theta) expansion against the linear one, and
+the negative controls of the identity checks."""
 
 from __future__ import annotations
 
@@ -9,10 +10,14 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qvanish.products import (  # noqa: E402
+    BilateralSpecialization,
     PochhammerFactor,
     ProductSpec,
+    bilateral_product_spec,
+    cancellation_check,
     expand_paired,
     expand_product,
+    verify_1psi1,
 )
 
 signs = st.sampled_from((1, -1))
@@ -71,3 +76,50 @@ def test_capped_expansion_keeps_linear_factors_up_to_cap(spec, cap, length):
     series = expand_paired(spec, order, max_exponent=cap)
     assert (series.valuation, series.order) == (spec.prefactor_exponent, order)
     assert list(series.coeffs) == capped_reference(spec, order, cap)
+
+
+@st.composite
+def specializations(draw, max_m=5, max_k=5):
+    """A BilateralSpecialization with m <= max_m, k <= max_k; r < tk is allowed, r = tk is not."""
+    m, k = draw(st.integers(2, max_m)), draw(st.integers(2, max_k))
+    t = draw(st.integers(1, m - 1))
+    r = draw(st.integers(1, m * k - 1).filter(lambda r: r != t * k))
+    return BilateralSpecialization(m, k, t, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specializations(), st.integers(0, 150))
+def test_paired_1psi1_right_side_equals_linear(p, length):
+    spec = bilateral_product_spec(p)
+    order = spec.prefactor_exponent + length
+    assert expand_paired(spec, order) == expand_product(spec, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specializations(), st.data())
+def test_1psi1_rejects_a_right_side_missing_one_factor(p, data):
+    # Dropping (x q^a; q^M) from either side changes the product by a unit
+    # 1 -+ x q^a + ..., so the first disagreement sits exactly at q^{pre + a}.
+    spec = bilateral_product_spec(p)
+    factors = [(i, True) for i in range(len(spec.numerator))]
+    factors += [(i, False) for i in range(len(spec.denominator))]
+    i, in_numerator = data.draw(st.sampled_from(factors))
+    num, den = list(spec.numerator), list(spec.denominator)
+    dropped = (num if in_numerator else den).pop(i)
+    broken = ProductSpec(spec.prefactor_sign, spec.prefactor_exponent, num, den)
+    order = data.draw(st.integers(p.m * p.k + 1, 3 * p.m * p.k))
+    chk = verify_1psi1(p, order, rhs_spec=broken)
+    assert not chk
+    assert chk.exponent == spec.prefactor_exponent + dropped.offset
+
+
+@settings(max_examples=200, deadline=None)
+@given(specializations(max_m=6, max_k=6), st.data())
+def test_cancellation_holds_exactly_when_r_is_sm_plus_t(p, data):
+    m, k, t, r = p.m, p.k, p.t, p.r
+    s = data.draw(st.integers(0, k - 1))
+    chk = cancellation_check(p, s, m * k * k)
+    assert bool(chk) == (r == s * m + t)
+    if not chk:
+        # the two sums start at q^{r(k-s)} and q^{s(mk-r)+tk}, equal only when r = sm+t
+        assert chk.exponent == min(r * (k - s), s * (m * k - r) + t * k)

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qvanish
 from qvanish import InvalidParams, LaurentSeries
 from qvanish.products import (
     PochhammerFactor,
@@ -329,6 +334,8 @@ def test_scan_parallel_matches_serial():
 
 
 def test_scan_jobs_validated_and_capped_at_cpu_count(monkeypatch):
+    import concurrent.futures
+
     import qvanish.vanishing as vanishing
 
     with pytest.raises(InvalidParams):
@@ -351,8 +358,19 @@ def test_scan_jobs_validated_and_capped_at_cpu_count(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(vanishing, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(vanishing.os, "cpu_count", lambda: 3)
     result = scan(range(2, 5), range(2, 4), 60, "plus", jobs=10**6)
     assert started == [3]
     assert result.reports == scan(range(2, 5), range(2, 4), 60, "plus").reports
+
+
+def test_import_starts_no_process_pool_machinery():
+    # scan imports concurrent.futures only when it fans out over processes
+    src = str(Path(qvanish.__file__).resolve().parents[1])
+    code = "import sys, qvanish.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "False"
