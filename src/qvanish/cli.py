@@ -36,6 +36,7 @@ from .products import (
     ProductSpec,
     cancellation_check,
     compare_series,
+    expand_paired,
     expand_product,
     jtp_product_spec,
     jtp_theta,
@@ -247,7 +248,7 @@ def cmd_expand(args) -> int:
     sign, exponent = parse_prefactor(bag)
     order = resolve_order(bag)
     bag.finish()
-    series = expand_product(ProductSpec(sign, exponent, numerator, denominator), order)
+    series = expand_paired(ProductSpec(sign, exponent, numerator, denominator), order)
     pairs = [(e, series[e]) for e in range(series.valuation, series.order)]
     if args.format == "json":
         emit_json(

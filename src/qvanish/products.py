@@ -5,11 +5,12 @@ The objects here are quotients of q-Pochhammer symbols
     (x; q^M)_inf = prod_{i>=0} (1 - x q^{iM}),  x = +-q^a,
 
 truncated to a finite exponent window.  Expansion works one linear factor
-(1 -+ q^e) at a time: multiplying by such a factor is a single shifted
-subtraction pass, dividing by it adds or subtracts each block of e
-coefficients into the next, block after block.  Both cost O(order) per
-linear factor, so a full Pochhammer symbol costs O(order^2 / M) and stays
-comfortably fast in pure Python at window sizes of a few thousand.
+(1 -+ q^e) at a time: multiplying by such a factor is one map that subtracts
+or adds the series shifted by e from itself, dividing by it adds or
+subtracts each block of e coefficients into the next, block after block.
+Both cost O(order) per linear factor, so a full Pochhammer symbol costs
+O(order^2 / M) and stays comfortably fast in pure Python at window sizes of
+a few thousand.
 
 expand_paired computes the same quotients faster when factors pair up as
 (x q^a, x q^{M-a}; q^M): by the triple product each pair is a sparse theta
@@ -60,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PochhammerFactor:
     """One symbol (arg_sign * q^offset; q^modulus)_inf with offset >= 1.
 
@@ -94,7 +95,7 @@ def pochhammer(
     return tuple(PochhammerFactor(sign, a, modulus) for a in offsets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductSpec:
     """prefactor_sign * q^prefactor_exponent * prod(numerator) / prod(denominator).
 
@@ -130,8 +131,12 @@ class ProductSpec:
 
 
 def _mul_linear(coeffs: list[int], e: int, sign: int) -> None:
-    """In place, multiply by (1 - sign*q^e)."""
-    coeffs[e:] = [x - sign * y for x, y in zip(coeffs[e:], coeffs)]
+    """In place, multiply by (1 - sign*q^e): y_n = x_n - sign*x_{n-e}.
+
+    The slice assignment reads the whole map before it writes, so every
+    x_{n-e} is still the old coefficient.
+    """
+    coeffs[e:] = map(sub if sign == 1 else add, coeffs[e:], coeffs)
 
 
 def _div_linear(coeffs: list[int], e: int, sign: int) -> None:
@@ -149,13 +154,7 @@ def expand_factor(f: PochhammerFactor, order: int) -> LaurentSeries:
     """Truncated expansion of a single Pochhammer symbol; window [0, order)."""
     if order < 0:
         raise InvalidParams(f"order must be >= 0, got {order}")
-    if order == 0:
-        return LaurentSeries(0, (), 0)
-    coeffs = [0] * order
-    coeffs[0] = 1
-    for e in range(f.offset, order, f.modulus):
-        _mul_linear(coeffs, e, f.arg_sign)
-    return LaurentSeries(0, coeffs, order)
+    return expand_product(ProductSpec(1, 0, (f,), ()), order)
 
 
 def _linear_passes(coeffs: list[int], numerator, denominator, stop: int) -> None:
@@ -349,7 +348,7 @@ def expand_paired(
 # -- the specialized bilateral summation -------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BilateralSpecialization:
     """Parameters (m, k, t, r) of the bilateral sum under study.
 
@@ -437,7 +436,7 @@ def bilateral_product_spec(p: BilateralSpecialization) -> ProductSpec:
     return ProductSpec(sign, pre, num, den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityCheck:
     """Outcome of comparing two series: truthy when they agree everywhere known."""
 

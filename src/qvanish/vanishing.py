@@ -20,6 +20,12 @@ so built specs only ever carry positive offsets, with the sign and shift
 recorded in the prefactor.  Verification and reported zero classes follow
 the normalized (prefactor-stripped) expansion, whose exponents start at 0;
 the normalization shifts the vanishing class from -rs to tk - r - rs mod k.
+
+Every family quotient is one pair (x q^a, x q^{M-a}; q^M) over another, so
+verification expands it with products.expand_paired: by the triple product
+each pair is a sparse theta series over (q^M; q^M), that factor cancels,
+and the quotient is one sparse series divided by another.  The tests check
+this against the linear expand_product on every tuple of the sweep grids.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from math import gcd
 from typing import Iterable, Iterator, Union
 
 from .errors import Degenerate, InvalidParams
-from .products import ProductSpec, expand_product, pochhammer
+from .products import ProductSpec, expand_paired, pochhammer
 
 __all__ = [
     "AndrewsBressoudParams",
@@ -50,7 +56,7 @@ __all__ = [
 OBSERVED_CLASS_MIN_SAMPLES = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidueClass:
     """The set of integers congruent to residue mod modulus."""
 
@@ -69,7 +75,7 @@ class ResidueClass:
         return f"{self.modulus}n+{self.residue}" if self.residue else f"{self.modulus}n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AndrewsBressoudParams:
     """(k, r) coprime of opposite parity, 1 <= r < k."""
 
@@ -88,7 +94,7 @@ class AndrewsBressoudParams:
             raise InvalidParams(f"r and k must have opposite parity, got r={self.r}, k={self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShiftedQuotientParams:
     """(m, k, s, t) with derived r = sm + t coprime to k; sign plus or minus."""
 
@@ -121,7 +127,7 @@ class ShiftedQuotientParams:
         return self.sign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlladiGordonParams:
     """(m, k, s) with 1 < m < k, gcd(s, km) = 1; r, r' derived, never stored."""
 
@@ -220,7 +226,7 @@ def zero_class(params: TheoremParams) -> ResidueClass:
     raise InvalidParams(f"unknown parameter type {type(params).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VanishingReport:
     """Outcome of checking one parameter tuple against its expansion.
 
@@ -281,17 +287,20 @@ def _params_dict(params: TheoremParams) -> dict:
 def verify_vanishing(params: TheoremParams, order: int) -> VanishingReport:
     """Expand the family's quotient and check the predicted class exhaustively.
 
-    Every known exponent in the predicted class is checked; any nonzero
-    coefficient there is recorded as a violation.  Residue classes mod k in
-    which every checked coefficient is zero are reported as observed, but
-    only when at least OBSERVED_CLASS_MIN_SAMPLES exponents were seen.
+    The normalized quotient is expanded through its theta pairs
+    (products.expand_paired), which the tests check against the linear
+    products.expand_product.  Every known exponent in the predicted class
+    is checked; any nonzero coefficient there is recorded as a violation.
+    Residue classes mod k in which every checked coefficient is zero are
+    reported as observed, but only when at least OBSERVED_CLASS_MIN_SAMPLES
+    exponents were seen.
     """
     if order < 1:
         raise InvalidParams(f"order must be >= 1, got {order}")
     spec = build_spec(params)
     cls = zero_class(params)
     normalized = ProductSpec(1, 0, spec.numerator, spec.denominator)
-    series = expand_product(normalized, order)
+    series = expand_paired(normalized, order)
     k = cls.modulus
     violations = []
     nonzero_seen = [0] * k
@@ -320,7 +329,7 @@ def verify_vanishing(params: TheoremParams, order: int) -> VanishingReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanResult:
     """Reports for every valid tuple in a grid, plus the skipped combinations."""
 

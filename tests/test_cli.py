@@ -74,6 +74,21 @@ def test_expand_json_shape_and_determinism(capsys):
     assert first == second
 
 
+def test_expand_paired_output_matches_linear_path(capsys, monkeypatch):
+    # a pair over a negated pair, with (q^7; q^7) and a prefactor: the
+    # theta-pair expansion must print exactly what the linear one prints
+    argv = (
+        "expand", "pre=-1:-3", "num=1,6,7:7", "den=-3,-4:7", "order=90", "--format=json"
+    )
+    code, paired, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(qvanish.cli, "expand_paired", qvanish.cli.expand_product)
+    code, linear, _ = run(capsys, *argv)
+    assert code == 0
+    assert paired == linear
+    assert json.loads(paired)["valuation"] == -3
+
+
 def test_expand_csv_has_header(capsys):
     code, out, _ = run(capsys, "expand", "den=2:4", "order=6", "--format=csv")
     assert code == 0

@@ -144,6 +144,11 @@ def naive_div_linear(coeffs: list[int], e: int, sign: int) -> list[int]:
     return y
 
 
+def naive_mul_linear(coeffs: list[int], e: int, sign: int) -> list[int]:
+    """y_n = x_n - sign*x_{n-e}, one coefficient at a time."""
+    return [x - sign * coeffs[n - e] if n >= e else x for n, x in enumerate(coeffs)]
+
+
 def test_div_linear_matches_naive_recurrence_and_inverts_mul():
     rng = random.Random(7)
     for n in (1, 2, 9, 30):
@@ -154,6 +159,9 @@ def test_div_linear_matches_naive_recurrence_and_inverts_mul():
                     x = [rng.randrange(-50, 51) for _ in range(n)]
                     if big:  # coefficients past 64-bit machine integers
                         x = [c * 2**70 + rng.randrange(2**64) for c in x]
+                    y = list(x)
+                    _mul_linear(y, e, sign)
+                    assert y == naive_mul_linear(x, e, sign), (n, e, sign)
                     y = list(x)
                     _div_linear(y, e, sign)
                     assert y == naive_div_linear(x, e, sign), (n, e, sign)

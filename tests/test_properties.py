@@ -1,14 +1,16 @@
-"""Property tests: the paired (theta) expansion against the linear one, and
-the negative controls of the identity checks."""
+"""Property tests: the paired (theta) expansion against the linear one, on
+random factor lists and on random theorem-family quotients, and the negative
+controls of the identity checks."""
 
 from __future__ import annotations
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from qvanish import InvalidParams  # noqa: E402
 from qvanish.products import (  # noqa: E402
     BilateralSpecialization,
     PochhammerFactor,
@@ -18,6 +20,12 @@ from qvanish.products import (  # noqa: E402
     expand_paired,
     expand_product,
     verify_1psi1,
+)
+from qvanish.vanishing import (  # noqa: E402
+    AlladiGordonParams,
+    AndrewsBressoudParams,
+    ShiftedQuotientParams,
+    build_spec,
 )
 
 signs = st.sampled_from((1, -1))
@@ -76,6 +84,33 @@ def test_capped_expansion_keeps_linear_factors_up_to_cap(spec, cap, length):
     series = expand_paired(spec, order, max_exponent=cap)
     assert (series.valuation, series.order) == (spec.prefactor_exponent, order)
     assert list(series.coeffs) == capped_reference(spec, order, cap)
+
+
+@st.composite
+def family_params(draw):
+    """Valid parameters of a random theorem family, k up to 15."""
+    k = draw(st.integers(2, 15))
+    sign = draw(st.sampled_from(("plus", "minus")))
+    family = draw(st.sampled_from(("ab", "shifted", "ag")))
+    try:
+        if family == "ab":
+            return AndrewsBressoudParams(k, draw(st.integers(1, k - 1)))
+        if family == "shifted":
+            m = draw(st.integers(2, 15))
+            s, t = draw(st.integers(0, k - 1)), draw(st.integers(1, m - 1))
+            return ShiftedQuotientParams(m, k, s, t, sign)
+        m = draw(st.integers(2, max(k - 1, 2)))
+        return AlladiGordonParams(m, k, draw(st.integers(1, m * k - 1)), sign)
+    except InvalidParams:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_params(), st.integers(0, 400))
+def test_paired_family_quotient_equals_linear(params, length):
+    spec = build_spec(params)
+    order = spec.prefactor_exponent + length
+    assert expand_paired(spec, order) == expand_product(spec, order)
 
 
 @st.composite

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ from qvanish.products import (
     PochhammerFactor,
     ProductSpec,
     expand_factor,
+    expand_paired,
     expand_product,
     pochhammer,
 )
@@ -31,6 +34,7 @@ from qvanish.vanishing import (
     verify_vanishing,
     zero_class,
 )
+from qvanish.vanishing import _FAMILY_TYPES, _grid
 
 
 # -- parameter validation ------------------------------------------------------
@@ -241,6 +245,36 @@ def test_ag_and_shifted_classes_coincide_on_shared_products():
         )
         assert key(spec_ag) == key(spec_sh)
         assert zero_class(ag) == zero_class(sh)
+
+
+def test_paired_expansion_equals_linear_on_every_grid_tuple():
+    # verify_vanishing expands through theta pairs; the linear path is the
+    # reference on every valid tuple of the sweep grids
+    grids = [("ab", range(2, 13), ())]
+    grids += [(family, range(2, 9), range(2, 9)) for family in ("plus", "minus", "ag")]
+    checked = 0
+    for family, k_range, m_range in grids:
+        for candidate in _grid(family, k_range, m_range):
+            try:
+                params = _FAMILY_TYPES[family](**candidate)
+            except InvalidParams:
+                continue
+            spec = build_spec(params)
+            normalized = ProductSpec(1, 0, spec.numerator, spec.denominator)
+            assert expand_paired(normalized, 300) == expand_product(normalized, 300), candidate
+            checked += 1
+    assert checked == 31 + 1288  # ab; then plus, minus and ag together
+
+
+def test_value_types_are_frozen_slotted_and_picklable():
+    params = ShiftedQuotientParams(3, 5, 2, 1, "minus")
+    report = verify_vanishing(params, 120)
+    for value, field in ((params, "m"), (report.spec, "prefactor_exponent"), (report, "order")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, 0)
+        assert not hasattr(value, "__dict__")
+        # scan --jobs sends params to its workers and reports back by pickle
+        assert pickle.loads(pickle.dumps(value)) == value
 
 
 # -- report shape ----------------------------------------------------------------
