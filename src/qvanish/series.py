@@ -13,17 +13,62 @@ beyond the order is never silently treated as zero, which is what keeps a
 "this coefficient vanishes" check honest.  All coefficients are Python ints,
 so nothing ever rounds or overflows.
 
+Multiplication and inversion work on whole coefficient blocks: a product
+packs each block into one integer (Kronecker substitution) so that CPython's
+big-int multiply does the convolution, and an inverse doubles its known
+length by Newton iteration, at the cost of about two such products.
+
 Instances are immutable; operations return new series and are safe to use
 from multiple threads.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator, Sequence
 
 from .errors import NotAUnit, OutOfRange
 
 __all__ = ["LaurentSeries", "NotAUnit", "OutOfRange"]
+
+
+def _pack(block: Sequence[int], w: int) -> int:
+    """sum(block[i] * 2^(8*w*i)), each |block[i]| below 2^(8*w).
+
+    Unsigned w-byte slots hold no negative value, so the positive parts and
+    the negated negative parts are packed apart and subtracted.
+    """
+    pos = [c if c > 0 else 0 for c in block]
+    neg = [-c if c < 0 else 0 for c in block]
+    return _join(pos, w) - _join(neg, w)
+
+
+def _join(block: list[int], w: int) -> int:
+    """sum(block[i] * 2^(8*w*i)) for 0 <= block[i] < 2^(8*w)."""
+    slots = b"".join(map(int.to_bytes, block, repeat(w), repeat("little")))
+    return int.from_bytes(slots, "little")
+
+
+def _mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first n coefficients of the product of the blocks a and b, exactly.
+
+    Kronecker substitution: with X = 2^(8*w), a and b become the integers
+    a(X) and b(X), and CPython's big-int multiply does the convolution.  A
+    product coefficient below n sums at most n products of two coefficients,
+    so its magnitude is below 2^(bits + n.bit_length()) where bits adds the
+    largest bit lengths of a and b; one more bit for the sign, and each fits
+    its w-byte slot.  Coefficients at n and above may not fit, but they only
+    add multiples of X^n, which the mask drops.  Adding 2^(8*w - 1) to every
+    low slot makes each a nonnegative digit, which unpacks as one slice.
+    """
+    a, b = a[:n], b[:n]
+    bits = max(map(int.bit_length, a), default=0) + max(map(int.bit_length, b), default=0)
+    w = (bits + n.bit_length() + 8) // 8
+    bias = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    low = (_pack(a, w) * _pack(b, w) + bias) & ((1 << (8 * w * n)) - 1)
+    digits = low.to_bytes(w * n, "little")
+    half = 1 << (8 * w - 1)
+    return [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * n, w)]
 
 
 class LaurentSeries:
@@ -154,6 +199,11 @@ class LaurentSeries:
         return (-self) + other
 
     def __mul__(self, other: "LaurentSeries | int") -> "LaurentSeries":
+        """Cauchy product, or the scalar product with an int.
+
+        The product of two series is one big-int multiply of their packed
+        coefficient blocks (see _mul_low for why the slot width is safe).
+        """
         if isinstance(other, int):
             return LaurentSeries(
                 self._valuation, tuple(c * other for c in self._coeffs), self._order
@@ -164,19 +214,7 @@ class LaurentSeries:
         # valuation of the other, so only min(len_a, len_b) offsets survive.
         n = min(len(self._coeffs), len(other._coeffs))
         val = self._valuation + other._valuation
-        a, b = self._coeffs[:n], other._coeffs[:n]
-        # Iterate the sparser block on the outside; theta-like series are
-        # mostly zeros and skipping them dominates the cost.
-        na = sum(1 for c in a if c)
-        nb = sum(1 for c in b if c)
-        if nb < na:
-            a, b = b, a
-        out = [0] * n
-        for i, ci in enumerate(a):
-            if ci:
-                seg = out[i:]
-                out[i:] = [x + ci * y for x, y in zip(seg, b)]
-        return LaurentSeries(val, out, val + n)
+        return LaurentSeries(val, _mul_low(self._coeffs, other._coeffs, n), val + n)
 
     __rmul__ = __mul__
 
@@ -191,7 +229,10 @@ class LaurentSeries:
         """Multiplicative inverse, valid when the lowest nonzero coefficient is +-1.
 
         mul(self, self.invert()) == 1 on the jointly known window; the
-        inverse has valuation -v where v is the true valuation.
+        inverse has valuation -v where v is the true valuation.  Newton
+        iteration g <- g*(2 - a*g) doubles the number of correct terms with
+        two block products per step; every step stays integral because the
+        lowest coefficient is +-1.
         """
         v = self.true_valuation()
         if v is None:
@@ -201,16 +242,15 @@ class LaurentSeries:
             raise NotAUnit(f"cannot invert: lowest coefficient is {u0}, not +1 or -1")
         a = self._coeffs[v - self._valuation :]
         n = len(a)
-        out = [0] * n
-        out[0] = u0  # 1/u0 == u0 for a unit +-1
-        for e in range(1, n):
-            acc = 0
-            for j in range(1, e + 1):
-                aj = a[j]
-                if aj:
-                    acc += aj * out[e - j]
-            out[e] = -u0 * acc
-        return LaurentSeries(-v, out, -v + n)
+        g = [u0]  # 1/u0 == u0 for a unit +-1
+        k = 1
+        while k < n:
+            # a*g == 1 + q^k*h below q^k2, so g - q^k*g*h is right below q^k2.
+            k2 = min(2 * k, n)
+            h = _mul_low(a, g, k2)[k:]
+            g += [-c for c in _mul_low(g, h, k2 - k)]
+            k = k2
+        return LaurentSeries(-v, g, -v + n)
 
     def truncate(self, order: int) -> "LaurentSeries":
         """Restrict the known window to exponents < order (never extends it)."""

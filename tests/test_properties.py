@@ -1,6 +1,7 @@
 """Property tests: the paired (theta) expansion against the linear one, on
-random factor lists and on random theorem-family quotients, and the negative
-controls of the identity checks."""
+random factor lists and on random theorem-family quotients, the negative
+controls of the identity checks, and series inversion against the naive
+product."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qvanish import InvalidParams  # noqa: E402
+from qvanish import InvalidParams, LaurentSeries  # noqa: E402
 from qvanish.products import (  # noqa: E402
     BilateralSpecialization,
     PochhammerFactor,
@@ -27,6 +28,7 @@ from qvanish.vanishing import (  # noqa: E402
     ShiftedQuotientParams,
     build_spec,
 )
+from test_series import naive_mul  # noqa: E402
 
 signs = st.sampled_from((1, -1))
 
@@ -158,3 +160,17 @@ def test_cancellation_holds_exactly_when_r_is_sm_plus_t(p, data):
     if not chk:
         # the two sums start at q^{r(k-s)} and q^{s(mk-r)+tk}, equal only when r = sm+t
         assert chk.exponent == min(r * (k - s), s * (m * k - r) + t * k)
+
+
+@st.composite
+def units(draw):
+    """A Laurent unit: zeros, then +-1, then any integers, at any valuation."""
+    head = [0] * draw(st.integers(0, 3)) + [draw(signs)]
+    tail = draw(st.lists(st.integers(-(2**80), 2**80), max_size=70))
+    return LaurentSeries(draw(st.integers(-8, 8)), head + tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(units())
+def test_unit_times_its_inverse_is_one(u):
+    assert naive_mul(u, u.invert()) == 1

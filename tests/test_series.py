@@ -4,6 +4,7 @@ The multiplication oracle here is an independent dict-based convolution that
 tracks the known window the same way the library does: a product coefficient
 at offset d from the combined valuation is only known when d < min(len_a,
 len_b), because beyond that the unknown tails of either factor contribute.
+The inversion oracle is the schoolbook recurrence, one coefficient at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 
 import pytest
 
-from qvanish import LaurentSeries, NotAUnit, OutOfRange
+from qvanish import LaurentSeries, NotAUnit, OutOfRange, ProductSpec, expand_product, pochhammer
 
 
 def naive_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -24,6 +25,23 @@ def naive_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             if (ea - a.valuation) + (eb - b.valuation) < n:
                 out[ea + eb] += ca * cb
     return LaurentSeries(val, [out[e] for e in sorted(out)], val + n)
+
+
+def naive_invert(a: LaurentSeries) -> LaurentSeries:
+    """g_0 = u0, g_e = -u0 * sum_{1<=j<=e} a_j g_{e-j}, from the true valuation on."""
+    v = a.true_valuation()
+    block = a.coeffs[v - a.valuation :]
+    u0 = block[0]
+    assert u0 in (1, -1)
+    out = [u0] + [0] * (len(block) - 1)
+    for e in range(1, len(block)):
+        out[e] = -u0 * sum(block[j] * out[e - j] for j in range(1, e + 1))
+    return LaurentSeries(-v, out, -v + len(block))
+
+
+def same(a: LaurentSeries, b: LaurentSeries) -> bool:
+    """Identical window and coefficients, stricter than == on the overlap."""
+    return (a.valuation, a.order, a.coeffs) == (b.valuation, b.order, b.coeffs)
 
 
 def random_series(rng: random.Random, max_len: int = 25) -> LaurentSeries:
@@ -170,6 +188,78 @@ def test_invert_rejects_non_units():
         LaurentSeries(0, (2, 1, 1), 3).invert()
     with pytest.raises(NotAUnit):
         LaurentSeries.zero(5).invert()
+
+
+# -- block kernels: Kronecker products and Newton inversion -------------------
+
+# 0, 1, 2 and the Newton doubling edges 2^j - 1, 2^j, 2^j + 1, up to 400
+EDGE_LENGTHS = sorted({0, 1, 2, 400} | {2**j + d for j in range(1, 9) for d in (-1, 0, 1)})
+
+
+def edge_blocks(rng: random.Random, n: int) -> list[list[int]]:
+    """Blocks of length n: huge, all zero, one sign only, sparse."""
+    return [
+        [rng.randint(-(2**300), 2**300) for _ in range(n)],
+        [0] * n,
+        [rng.randint(0, 2**70) for _ in range(n)],
+        [-rng.randint(0, 2**70) for _ in range(n)],
+        [rng.choice((0, 0, 0, 1, -1)) for _ in range(n)],
+    ]
+
+
+def test_mul_matches_naive_on_edge_lengths_and_blocks():
+    rng = random.Random(65537)
+    for n in EDGE_LENGTHS:
+        blocks = edge_blocks(rng, n)
+        for a, b in zip(blocks, blocks[1:] + blocks[:1]):
+            x = LaurentSeries(rng.randint(-3, 3), a)
+            y = LaurentSeries(rng.randint(-3, 3), b + [rng.randint(-9, 9)] * rng.randint(0, 2))
+            assert same(x * y, naive_mul(x, y)), n
+            assert same(y * x, naive_mul(x, y)), n
+
+
+def test_mul_fills_slots_up_to_byte_boundaries():
+    # Same-magnitude 2^k - 1 entries make the top product coefficient
+    # n * (2^ka - 1) * (2^kb - 1), the largest the slot width has to hold;
+    # ka runs over eight values so ka + kb + n.bit_length() crosses a byte edge.
+    for n in (1, 2, 8, 200):
+        for ka in range(20, 28):
+            kb = 24
+            for sa, sb in ((1, 1), (-1, 1)):
+                for alternate in (False, True):
+                    a = [sa * (2**ka - 1) * (-1 if alternate and i % 2 else 1) for i in range(n)]
+                    b = [sb * (2**kb - 1) * (-1 if alternate and i % 2 else 1) for i in range(n)]
+                    x, y = LaurentSeries(0, a), LaurentSeries(0, b)
+                    assert same(x * y, naive_mul(x, y)), (n, ka, sa, sb, alternate)
+
+
+def random_unit(rng: random.Random, n: int, bound: int) -> LaurentSeries:
+    """Up to three zeros, then u0 = +-1 and n - 1 more terms, at any valuation."""
+    zeros = rng.randint(0, 3)
+    coeffs = [0] * zeros + [rng.choice((1, -1))]
+    coeffs += [rng.randint(-bound, bound) for _ in range(n - 1)]
+    return LaurentSeries(rng.randint(-6, 6), coeffs)
+
+
+def test_invert_matches_naive_recurrence_on_edge_lengths():
+    rng = random.Random(40961)
+    for n in EDGE_LENGTHS:
+        if n == 0:
+            continue
+        for bound in (1, 3) if n > 64 else (1, 3, 2**40, 2**300):
+            u = random_unit(rng, n, bound)
+            inv = u.invert()
+            assert same(inv, naive_invert(u)), (n, bound)
+            assert naive_mul(u, inv) == 1
+
+
+def test_ring_round_trip_at_full_size_matches_slow_path():
+    # the benchmark's ring item at 600 terms: slots there are 11 bytes wide
+    unit = expand_product(ProductSpec(1, 0, pochhammer((1, 2, 3, 4), 11), ()), 600)
+    inverse = unit.invert()
+    assert same(inverse, naive_invert(unit))
+    assert same(unit * inverse, naive_mul(unit, inverse))
+    assert same(unit * inverse, LaurentSeries.one(600))
 
 
 # -- equality semantics ---------------------------------------------------------
