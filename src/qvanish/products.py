@@ -6,8 +6,7 @@ The objects here are quotients of q-Pochhammer symbols
 
 truncated to a finite exponent window.  Expansion works one linear factor
 (1 -+ q^e) at a time: multiplying by such a factor is one map that subtracts
-or adds the series shifted by e from itself, dividing by it is a running
-sum along each residue chain mod e for small e and otherwise adds or
+or adds the series shifted by e from itself, dividing by it adds or
 subtracts each block of e coefficients into the next, block after block.
 Both cost O(order) per linear factor, so a full Pochhammer symbol costs
 O(order^2 / M) and stays comfortably fast in pure Python at window sizes of
@@ -35,9 +34,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, count
+from itertools import count
 from math import gcd, isqrt
-from operator import add, neg, sub
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import Degenerate, InvalidParams
@@ -143,26 +142,11 @@ def _mul_linear(coeffs: list[int], e: int, sign: int) -> None:
 def _div_linear(coeffs: list[int], e: int, sign: int) -> None:
     """In place, divide by (1 - sign*q^e): y_n = x_n + sign*y_{n-e}.
 
-    For small e each residue chain coeffs[res::e] is a running sum, one
-    accumulate per chain; for sign -1 the sum runs over the chain with every
-    odd-indexed entry negated, and negating those again gives y.  For larger
-    e the chains are short and there are many of them, so instead each block
-    of e coefficients is added into the next, which is final by then: one map
-    per block.
+    Each block of e coefficients depends only on the block before it, which
+    is final by then, so one map per block suffices.
     """
-    n = len(coeffs)
-    if e * e < n:
-        for res in range(e):
-            chain = coeffs[res::e]
-            if sign == -1:
-                chain[1::2] = map(neg, chain[1::2])
-            chain = list(accumulate(chain))
-            if sign == -1:
-                chain[1::2] = map(neg, chain[1::2])
-            coeffs[res::e] = chain
-        return
     op = add if sign == 1 else sub
-    for i in range(e, n, e):
+    for i in range(e, len(coeffs), e):
         coeffs[i : i + e] = map(op, coeffs[i : i + e], coeffs[i - e : i])
 
 

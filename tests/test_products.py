@@ -151,10 +151,9 @@ def naive_mul_linear(coeffs: list[int], e: int, sign: int) -> list[int]:
 
 def test_div_linear_matches_naive_recurrence_and_inverts_mul():
     rng = random.Random(7)
-    for n in (1, 2, 9, 30, 100):
-        # e = 1, a short final block, e = n-1, e = n and e > n; at n = 100,
-        # e = 9, 10, 11 straddle the switch from running sums to blocks (e*e < n)
-        for e in sorted({1, 4, 7, 9, 10, 11, max(n - 1, 1), n, n + 3}):
+    for n in (1, 2, 9, 30):
+        # e = 1, a short final block, e = n-1, e = n and e > n
+        for e in sorted({1, 4, 7, max(n - 1, 1), n, n + 3}):
             for sign in (1, -1):
                 for big in (False, True):
                     x = [rng.randrange(-50, 51) for _ in range(n)]

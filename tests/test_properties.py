@@ -28,7 +28,6 @@ from qvanish.vanishing import (  # noqa: E402
     ShiftedQuotientParams,
     build_spec,
 )
-from test_series import naive_mul  # noqa: E402
 
 signs = st.sampled_from((1, -1))
 
@@ -173,4 +172,11 @@ def units(draw):
 @settings(max_examples=200, deadline=None)
 @given(units())
 def test_unit_times_its_inverse_is_one(u):
-    assert naive_mul(u, u.invert()) == 1
+    """The naive convolution of u's block from its true valuation with
+    u.invert() is 1, 0, 0, ... over the whole window."""
+    g = u.invert()
+    v = u.true_valuation()
+    a = u.coeffs[v - u.valuation :]
+    assert (g.valuation, g.order) == (-v, -v + len(a))
+    prod = [sum(a[j] * g.coeffs[i - j] for j in range(i + 1)) for i in range(len(a))]
+    assert prod == [1] + [0] * (len(a) - 1)
