@@ -43,7 +43,6 @@ from .products import (
     cancellation_check,
     compare_series,
     expand_factor,
-    expand_paired,
     expand_product,
     jtp_product_spec,
     jtp_theta,
@@ -101,7 +100,6 @@ __all__ = [
     "count_restricted_table",
     "enumerate_restricted",
     "expand_factor",
-    "expand_paired",
     "expand_product",
     "jtp_product_spec",
     "jtp_theta",

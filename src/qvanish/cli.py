@@ -36,7 +36,7 @@ from .products import (
     ProductSpec,
     cancellation_check,
     compare_series,
-    expand_paired,
+    expand_factor,
     expand_product,
     jtp_product_spec,
     jtp_theta,
@@ -248,7 +248,7 @@ def cmd_expand(args) -> int:
     sign, exponent = parse_prefactor(bag)
     order = resolve_order(bag)
     bag.finish()
-    series = expand_paired(ProductSpec(sign, exponent, numerator, denominator), order)
+    series = expand_product(ProductSpec(sign, exponent, numerator, denominator), order)
     pairs = [(e, series[e]) for e in range(series.valuation, series.order)]
     if args.format == "json":
         emit_json(
@@ -468,9 +468,10 @@ def cmd_identity(args) -> int:
         a = bag.require_int("a")
         order = resolve_order(bag, default=200)
         bag.finish()
-        check = compare_series(
-            jtp_theta(modulus, a, order), expand_product(jtp_product_spec(modulus, a), order)
-        )
+        # factor by factor: expand_product would pair the symbols into
+        # jtp_theta itself and compare the theta series with itself
+        f1, f2, f3 = (expand_factor(f, order) for f in jtp_product_spec(modulus, a).numerator)
+        check = compare_series(jtp_theta(modulus, a, order), f1 * f2 * f3)
         return render_check(check, args.format)
     if which == "lambert-cancel":
         p = BilateralSpecialization(

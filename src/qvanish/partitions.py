@@ -5,8 +5,8 @@ modulo a fixed modulus, with each class marked repeatable (parts may recur)
 or distinct (each part value at most once).  Counts are the coefficients of
 the generating product, expanded exactly: a repeatable residue res gives
 1/(q^res; q^M) (residue 0: 1/(q^M; q^M)) and a distinct residue d gives
-(-q^d; q^M).  When residues pair as +-a the pairs are divided out by the
-Jacobi triple product (products.expand_paired); a part cap below n keeps
+(-q^d; q^M), through products.expand_product: residues that pair as +-a
+are divided out by the Jacobi triple product, and a part cap below n keeps
 the plain linear passes.  Flipping every argument sign weights each part by
 -1, which gives sum (even - odd) q^n and so the split by the parity of the
 number of parts.
@@ -29,7 +29,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .errors import InvalidParams, TooLarge
-from .products import ProductSpec, expand_paired, pochhammer
+from .products import ProductSpec, expand_product, pochhammer
 from .vanishing import ResidueClass, ShiftedQuotientParams, zero_class
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
 ENUMERATION_CAP = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestrictedPartitionSpec:
     """Which part sizes are allowed, by residue class mod `modulus`.
 
@@ -107,7 +107,7 @@ class ParityCountPair(NamedTuple):
     odd_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A multiset of positive parts, canonically ascending.
 
@@ -180,7 +180,7 @@ def _expand(spec: RestrictedPartitionSpec, n_max: int, sign: int) -> list[int]:
         pochhammer(sorted(spec.distinct_residues), M, -sign),
         pochhammer(sorted(res or M for res in spec.repeatable_residues), M, sign),
     )
-    return list(expand_paired(product, n_max + 1, spec.max_part).coeffs)
+    return list(expand_product(product, n_max + 1, spec.max_part).coeffs)
 
 
 def count_restricted_table(spec: RestrictedPartitionSpec, n_max: int) -> list[int]:
@@ -206,7 +206,7 @@ def count_restricted_by_parity(spec: RestrictedPartitionSpec, n: int) -> ParityC
 # -- the signed-sum identity ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedTerm:
     """One row of the signed sum: argument nk-rs-mkj(j+1)/2-j(tk-r) at index j."""
 
@@ -282,7 +282,7 @@ def count_parity_split(m: int, k: int, s: int, t: int, n: int) -> ParityCountPai
     return count_restricted_by_parity(parity_spec(m, k, s, t), n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParityIdentityReport:
     """Even-equals-odd check over one residue class of targets."""
 

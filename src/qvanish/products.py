@@ -4,18 +4,16 @@ The objects here are quotients of q-Pochhammer symbols
 
     (x; q^M)_inf = prod_{i>=0} (1 - x q^{iM}),  x = +-q^a,
 
-truncated to a finite exponent window.  Expansion works one linear factor
-(1 -+ q^e) at a time: multiplying by such a factor is one map that subtracts
-or adds the series shifted by e from itself, dividing by it adds or
-subtracts each block of e coefficients into the next, block after block.
-Both cost O(order) per linear factor, so a full Pochhammer symbol costs
-O(order^2 / M) and stays comfortably fast in pure Python at window sizes of
-a few thousand.
-
-expand_paired computes the same quotients faster when factors pair up as
-(x q^a, x q^{M-a}; q^M): by the triple product each pair is a sparse theta
-series over (q^M; q^M), so the quotient becomes sparse series multiplied and
-divided at O(order * sqrt(order / M)) each.
+truncated to a finite exponent window.  expand_product is the one entry
+point.  It first pairs whole symbols (x q^a, x q^{M-a}; q^M) into sparse
+theta series by the triple product, at O(order * sqrt(order / M)) each.
+The symbols left over split into linear factors (1 -+ q^e); those in both
+the numerator and the denominator cancel, and each net one is a pass: a
+multiply is one map that subtracts or adds the series shifted by e from
+itself, a divide adds or subtracts each block of e coefficients into the
+next.  Both cost O(order) per linear factor, so a full Pochhammer symbol
+costs O(order^2 / M) and stays comfortably fast in pure Python at window
+sizes of a few thousand.
 
 Beyond plain expansion the module knows three classical facts needed by the
 vanishing-coefficient checks:
@@ -50,7 +48,6 @@ __all__ = [
     "pochhammer",
     "expand_factor",
     "expand_product",
-    "expand_paired",
     "jtp_theta",
     "jtp_product_spec",
     "lambert_series",
@@ -151,43 +148,38 @@ def _div_linear(coeffs: list[int], e: int, sign: int) -> None:
 
 
 def expand_factor(f: PochhammerFactor, order: int) -> LaurentSeries:
-    """Truncated expansion of a single Pochhammer symbol; window [0, order)."""
+    """Truncated expansion of a single Pochhammer symbol; window [0, order).
+
+    It runs its own multiply passes, so it shares neither pairing nor
+    division with expand_product and can check both independently.
+    """
     if order < 0:
         raise InvalidParams(f"order must be >= 0, got {order}")
-    return expand_product(ProductSpec(1, 0, (f,), ()), order)
+    coeffs = [1] + [0] * (order - 1) if order else []
+    for e in range(f.offset, order, f.modulus):
+        _mul_linear(coeffs, e, f.arg_sign)
+    return LaurentSeries(0, coeffs, order)
 
 
 def _linear_passes(coeffs: list[int], numerator, denominator, stop: int) -> None:
-    """In place, apply every linear factor (1 -+ q^e) with e < stop of each factor."""
-    for f in numerator:
-        for e in range(f.offset, stop, f.modulus):
-            _mul_linear(coeffs, e, f.arg_sign)
-    for f in denominator:
-        for e in range(f.offset, stop, f.modulus):
-            _div_linear(coeffs, e, f.arg_sign)
+    """In place, apply the net linear factors (1 -+ q^e) with e < stop of the quotient.
 
-
-def _window(spec: ProductSpec, order: int) -> int:
-    """Length of the coefficient block expanded for spec up to order."""
-    length = order - spec.prefactor_exponent
-    if length < 0:
-        raise InvalidParams(
-            f"order {order} is below the prefactor exponent {spec.prefactor_exponent}"
-        )
-    return length
-
-
-def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
-    """Exact expansion of the denoted quotient; window [prefactor_exponent, order)."""
-    length = _window(spec, order)
-    if length == 0:
-        return LaurentSeries(order, (), order)
-    coeffs = [0] * length
-    coeffs[0] = 1
-    _linear_passes(coeffs, spec.numerator, spec.denominator, length)
-    return LaurentSeries(0, coeffs, length).monomial_mul(
-        spec.prefactor_sign, spec.prefactor_exponent
-    )
+    A factor of both the numerator and the denominator cancels.  The passes
+    are exact and commute, so the rest run as all multiplies, then all
+    divides, each in ascending (e, sign).
+    """
+    net: Counter[tuple[int, int]] = Counter()
+    for factors, weight in ((numerator, 1), (denominator, -1)):
+        for f in factors:
+            for e in range(f.offset, stop, f.modulus):
+                net[e, f.arg_sign] += weight
+    passes = sorted(net.items())
+    for (e, sign), n in passes:
+        for _ in range(n):
+            _mul_linear(coeffs, e, sign)
+    for (e, sign), n in passes:
+        for _ in range(-n):
+            _div_linear(coeffs, e, sign)
 
 
 # -- Jacobi triple product ---------------------------------------------------
@@ -242,7 +234,7 @@ def jtp_product_spec(M: int, a: int) -> ProductSpec:
     return ProductSpec(1, 0, pochhammer((a, M - a, M), M), ())
 
 
-# -- paired (theta) expansion ------------------------------------------------
+# -- expansion: theta pairs, then the net linear passes ---------------------
 
 
 def _mul_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> list[int]:
@@ -299,22 +291,27 @@ def _split_pairs(factors: Sequence[PochhammerFactor]):
     return unpaired, pairs, powers
 
 
-def expand_paired(
+def expand_product(
     spec: ProductSpec, order: int, max_exponent: int | None = None
 ) -> LaurentSeries:
-    """expand_product(spec, order), dividing out factor pairs by the triple product.
+    """Exact expansion of the denoted quotient; window [prefactor_exponent, order).
 
     Pairs (x q^a, x q^{M-a}; q^M) become sparse theta series, the net power of
     each (q^M; q^M) is applied through Euler's pentagonal series (the theta
     series of (q^M, q^{2M}, q^{3M}; q^{3M})), and sparse numerators and
     denominators are multiplied and divided in O(order * sqrt(order / M))
-    each.  Unpaired factors take the linear passes of expand_product.
+    each.  The symbols left over take the net linear passes: each linear
+    factor of both the numerator and the denominator cancels first.
 
     With max_exponent, only the linear factors (1 -+ q^e) with e <=
     max_exponent are kept.  Such a truncated product is no theta series, so
     when the cap falls inside the window every factor takes the linear path.
     """
-    length = _window(spec, order)
+    length = order - spec.prefactor_exponent
+    if length < 0:
+        raise InvalidParams(
+            f"order {order} is below the prefactor exponent {spec.prefactor_exponent}"
+        )
     if length == 0:
         return LaurentSeries(order, (), order)
     coeffs = [0] * length
@@ -468,7 +465,7 @@ def verify_1psi1(
     Both sides are expanded independently: the left from the two Lambert-type
     sums, the right from bilateral_product_spec(p) (or an explicitly supplied
     spec, which lets tests run deliberately broken right sides) through
-    expand_paired.  Every factor of bilateral_product_spec pairs up, so by
+    expand_product.  Every factor of bilateral_product_spec pairs up, so by
     the triple product the right side is (q^{mk}; q^{mk})^3 theta / (theta
     theta), all sparse series.  Returns a truthy
     IdentityCheck, or a falsy one carrying the first disagreement.
@@ -477,7 +474,7 @@ def verify_1psi1(
     lhs = lambert_series(p, order + tk).monomial_mul(-1, -tk)
     if rhs_spec is None:
         rhs_spec = bilateral_product_spec(p)
-    rhs = expand_paired(rhs_spec, order)
+    rhs = expand_product(rhs_spec, order)
     return compare_series(lhs, rhs)
 
 

@@ -22,10 +22,10 @@ the normalized (prefactor-stripped) expansion, whose exponents start at 0;
 the normalization shifts the vanishing class from -rs to tk - r - rs mod k.
 
 Every family quotient is one pair (x q^a, x q^{M-a}; q^M) over another, so
-verification expands it with products.expand_paired: by the triple product
-each pair is a sparse theta series over (q^M; q^M), that factor cancels,
-and the quotient is one sparse series divided by another.  The tests check
-this against the linear expand_product on every tuple of the sweep grids.
+products.expand_product divides it out by the triple product: each pair is
+a sparse theta series over (q^M; q^M), that factor cancels, and the
+quotient is one sparse series divided by another.  The tests check this
+against a plain linear expansion on every tuple of the sweep grids.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from math import gcd
 from typing import Iterable, Iterator, Union
 
 from .errors import Degenerate, InvalidParams
-from .products import ProductSpec, expand_paired, pochhammer
+from .products import ProductSpec, expand_product, pochhammer
 
 __all__ = [
     "AndrewsBressoudParams",
@@ -287,10 +287,10 @@ def _params_dict(params: TheoremParams) -> dict:
 def verify_vanishing(params: TheoremParams, order: int) -> VanishingReport:
     """Expand the family's quotient and check the predicted class exhaustively.
 
-    The normalized quotient is expanded through its theta pairs
-    (products.expand_paired), which the tests check against the linear
-    products.expand_product.  Every known exponent in the predicted class
-    is checked; any nonzero coefficient there is recorded as a violation.
+    The normalized quotient is expanded by products.expand_product, through
+    its theta pairs; the tests check that against a plain linear expansion.
+    Every known exponent in the predicted class is checked; any nonzero
+    coefficient there is recorded as a violation.
     Residue classes mod k in which every checked coefficient is zero are
     reported as observed, but only when at least OBSERVED_CLASS_MIN_SAMPLES
     exponents were seen.
@@ -300,7 +300,7 @@ def verify_vanishing(params: TheoremParams, order: int) -> VanishingReport:
     spec = build_spec(params)
     cls = zero_class(params)
     normalized = ProductSpec(1, 0, spec.numerator, spec.denominator)
-    series = expand_paired(normalized, order)
+    series = expand_product(normalized, order)
     k = cls.modulus
     violations = []
     nonzero_seen = [0] * k

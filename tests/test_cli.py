@@ -74,7 +74,7 @@ def test_expand_json_shape_and_determinism(capsys):
     assert first == second
 
 
-def test_expand_paired_output_matches_linear_path(capsys, monkeypatch):
+def test_expand_paired_output_matches_linear_path(capsys, monkeypatch, linear_expand):
     # a pair over a negated pair, with (q^7; q^7) and a prefactor: the
     # theta-pair expansion must print exactly what the linear one prints
     argv = (
@@ -82,7 +82,7 @@ def test_expand_paired_output_matches_linear_path(capsys, monkeypatch):
     )
     code, paired, _ = run(capsys, *argv)
     assert code == 0
-    monkeypatch.setattr(qvanish.cli, "expand_paired", qvanish.cli.expand_product)
+    monkeypatch.setattr(qvanish.cli, "expand_product", linear_expand)
     code, linear, _ = run(capsys, *argv)
     assert code == 0
     assert paired == linear

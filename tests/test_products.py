@@ -1,17 +1,20 @@
 """Tests for Pochhammer expansion, theta sums, and the bilateral identities.
 
-Oracle strategy: expand_product is cross-checked against an independent path
-(per-factor expansion combined with series invert, which uses a different
-algorithm than the division passes), and the theta sum is checked against
-the product side it is classically equal to.
+Oracle strategy: expand_product is cross-checked against two independent
+paths, per-factor expansion combined with series invert (a different
+algorithm than the division passes), and the plain linear expansion of the
+linear_expand fixture (no theta pairs, no cancellation); the theta sum is
+checked against the product side it is classically equal to.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
+import qvanish.products
 from qvanish import Degenerate, InvalidParams, LaurentSeries
 from qvanish.products import (
     BilateralSpecialization,
@@ -21,7 +24,6 @@ from qvanish.products import (
     bilateral_product_spec,
     cancellation_check,
     expand_factor,
-    expand_paired,
     expand_product,
     jtp_product_spec,
     jtp_theta,
@@ -45,6 +47,22 @@ def expand_via_invert(spec: ProductSpec, order: int) -> LaurentSeries:
     for f in spec.denominator:
         out = out * expand_factor(f, pad).invert()
     return out.monomial_mul(spec.prefactor_sign, spec.prefactor_exponent)
+
+
+def count_linear_passes(monkeypatch) -> dict[str, int]:
+    """Count the _mul_linear and _div_linear calls expand_product makes from now on."""
+    calls = {"mul": 0, "div": 0}
+
+    def counted(kernel, key):
+        def run(coeffs, e, sign):
+            calls[key] += 1
+            kernel(coeffs, e, sign)
+
+        return run
+
+    monkeypatch.setattr(qvanish.products, "_mul_linear", counted(_mul_linear, "mul"))
+    monkeypatch.setattr(qvanish.products, "_div_linear", counted(_div_linear, "div"))
+    return calls
 
 
 # -- factor validation --------------------------------------------------------
@@ -106,8 +124,13 @@ def test_octic_quotient_vanishing_class():
     assert s[1] != 0  # the series itself is not trivial
 
 
-def test_identical_factors_cancel():
+def test_identical_factors_cancel(monkeypatch):
+    calls = count_linear_passes(monkeypatch)
     assert expand_product(quotient((1, 2), (1, 2), 5), 40) == 1
+    factors = pochhammer((1, 2, 3), 7) + pochhammer((2,), 5, -1) + pochhammer((3, 3), 4)
+    assert expand_product(ProductSpec(1, 0, factors, factors[::-1]), 300) == 1
+    # every linear factor cancels before any pass runs
+    assert calls == {"mul": 0, "div": 0}
 
 
 def test_modulus_thirty_quotient():
@@ -197,9 +220,9 @@ def test_theta_degenerate_argument_vanishes():
     assert jtp_theta(1, 0, 15) == 0
 
 
-def test_theta_matches_product_form():
+def test_theta_matches_product_form(linear_expand):
     for M, a in [(5, 2), (8, 3), (9, 4), (12, 1)]:
-        assert jtp_theta(M, a, 150) == expand_product(jtp_product_spec(M, a), 150)
+        assert jtp_theta(M, a, 150) == linear_expand(jtp_product_spec(M, a), 150)
 
 
 def test_theta_negative_offset_reflection():
@@ -246,7 +269,7 @@ def test_jtp_product_spec_range():
 # -- paired expansion ------------------------------------------------------------
 
 
-def test_paired_expansion_matches_linear_on_family_quotients():
+def test_paired_expansion_matches_linear_on_family_quotients(linear_expand):
     specs = [
         quotient((3, 5), (1, 7), 8),
         quotient((1, 4), (2, 3), 5),
@@ -261,7 +284,7 @@ def test_paired_expansion_matches_linear_on_family_quotients():
     for spec in specs:
         for order in (0, 1, 60, 301):
             if order >= spec.prefactor_exponent:
-                assert expand_paired(spec, order) == expand_product(spec, order), spec
+                assert expand_product(spec, order) == linear_expand(spec, order), spec
 
 
 def valid_specializations(max_m: int, max_k: int):
@@ -273,24 +296,57 @@ def valid_specializations(max_m: int, max_k: int):
                         yield BilateralSpecialization(m, k, t, r)
 
 
-def test_paired_expansion_matches_linear_on_every_1psi1_right_side():
+def test_paired_expansion_matches_linear_on_every_1psi1_right_side(linear_expand):
     seen_shifted = 0
     for p in valid_specializations(5, 5):
         spec = bilateral_product_spec(p)
         seen_shifted += p.r < p.t * p.k
-        assert expand_paired(spec, 120) == expand_product(spec, 120), p
+        assert expand_product(spec, 120) == linear_expand(spec, 120), p
     assert seen_shifted > 100  # r < tk, the negative-prefactor rewrite
 
 
-def test_paired_expansion_cap():
+def test_paired_expansion_cap(linear_expand):
     spec = quotient((), (1, 29, 30), 30)
     # a cap at or past the window changes nothing
     for cap in (99, 100, 1000):
-        assert expand_paired(spec, 100, max_exponent=cap) == expand_product(spec, 100)
+        assert expand_product(spec, 100, max_exponent=cap) == linear_expand(spec, 100)
     # parts up to 5: only the factor 1/(1 - q) is left
-    assert list(expand_paired(spec, 20, max_exponent=5).coeffs) == [1] * 20
+    assert list(expand_product(spec, 20, max_exponent=5).coeffs) == [1] * 20
     with pytest.raises(InvalidParams):
-        expand_paired(ProductSpec(1, 5, (), ()), 4)
+        expand_product(ProductSpec(1, 5, (), ()), 4)
+
+
+# -- cancelled linear factors ----------------------------------------------------
+
+
+def linear_factor_count(factors, order: int) -> int:
+    return sum(len(range(f.offset, order, f.modulus)) for f in factors)
+
+
+def test_mixed_moduli_quotients_cancel_shared_factors(monkeypatch, linear_expand):
+    # (1,2,3)|(4,5,6) mod 7 over (1,2)|(3,4) mod 5 and (3)|(1) mod 4: no
+    # symbol pairs, but many linear factors sit on both sides
+    calls = count_linear_passes(monkeypatch)
+    for seven, five, four in product(((1, 2, 3), (4, 5, 6)), ((1, 2), (3, 4)), ((3,), (1,))):
+        spec = ProductSpec(1, 0, pochhammer(seven, 7), pochhammer(five, 5) + pochhammer(four, 4))
+        calls.update(mul=0, div=0)
+        assert expand_product(spec, 600) == linear_expand(spec, 600), spec
+        cancelled = linear_factor_count(spec.numerator, 600) - calls["mul"]
+        assert cancelled == linear_factor_count(spec.denominator, 600) - calls["div"] > 0
+        if (seven, five, four) == ((1, 2, 3), (1, 2), (3,)):
+            assert linear_factor_count(spec.numerator, 600) == 258
+            assert linear_factor_count(spec.denominator, 600) == 390
+            assert calls == {"mul": 115, "div": 247}
+
+
+def test_pair_plus_cancelling_symbol_with_prefactor(linear_expand):
+    # (q^2, q^5; q^7) pairs; (q; q^3) shares every e = 1 mod 6 with (q; q^2)
+    numerator = pochhammer((2, 5), 7) + pochhammer((1,), 3)
+    spec = ProductSpec(-1, -2, numerator, pochhammer((1,), 2) + pochhammer((3,), 5, -1))
+    for order in (-2, -1, 40, 250):
+        assert expand_product(spec, order) == linear_expand(spec, order)
+        for cap in (1, 6, 37, 251, 400):
+            assert expand_product(spec, order, cap) == linear_expand(spec, order, cap), (order, cap)
 
 
 # -- bilateral specialization --------------------------------------------------

@@ -1,7 +1,7 @@
-"""Property tests: the paired (theta) expansion against the linear one, on
-random factor lists and on random theorem-family quotients, the negative
-controls of the identity checks, and series inversion against the naive
-product."""
+"""Property tests: expand_product against the plain linear expansion of the
+linear_expand fixture, on random factor lists and on random theorem-family
+quotients, the negative controls of the identity checks, and series
+inversion against the naive product."""
 
 from __future__ import annotations
 
@@ -18,8 +18,10 @@ from qvanish.products import (  # noqa: E402
     ProductSpec,
     bilateral_product_spec,
     cancellation_check,
-    expand_paired,
+    expand_factor,
     expand_product,
+    jtp_theta,
+    pochhammer,
     verify_1psi1,
 )
 from qvanish.vanishing import (  # noqa: E402
@@ -73,18 +75,50 @@ def capped_reference(spec, order, cap):
 
 @settings(max_examples=200, deadline=None)
 @given(product_specs(), st.integers(0, 150))
-def test_paired_expansion_equals_linear(spec, length):
+def test_paired_expansion_equals_linear(linear_expand, spec, length):
     order = spec.prefactor_exponent + length
-    assert expand_paired(spec, order) == expand_product(spec, order)
+    assert expand_product(spec, order) == linear_expand(spec, order)
 
 
 @settings(max_examples=80, deadline=None)
 @given(product_specs(), st.integers(1, 160), st.integers(0, 150))
 def test_capped_expansion_keeps_linear_factors_up_to_cap(spec, cap, length):
     order = spec.prefactor_exponent + length
-    series = expand_paired(spec, order, max_exponent=cap)
+    series = expand_product(spec, order, max_exponent=cap)
     assert (series.valuation, series.order) == (spec.prefactor_exponent, order)
     assert list(series.coeffs) == capped_reference(spec, order, cap)
+
+
+@st.composite
+def mixed_specs(draw):
+    """Up to three symbols a side: moduli 1-9, offsets up to 2M, either argument sign.
+
+    Symbols of different moduli share many linear factors, and now and then
+    two of them pair.
+    """
+    symbols = st.integers(1, 9).flatmap(
+        lambda M: st.builds(PochhammerFactor, signs, st.integers(1, 2 * M), st.just(M))
+    )
+    numerator = draw(st.lists(symbols, max_size=3))
+    denominator = draw(st.lists(symbols, max_size=3))
+    return ProductSpec(draw(signs), draw(st.integers(-3, 3)), numerator, denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_specs(), st.integers(0, 150), st.none() | st.integers(1, 160))
+def test_expansion_equals_linear_on_random_specs(linear_expand, spec, length, cap):
+    order = spec.prefactor_exponent + length
+    assert expand_product(spec, order, cap) == linear_expand(spec, order, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_triple_product_holds_for_random_moduli(data):
+    M = data.draw(st.integers(2, 40))
+    a = data.draw(st.integers(1, M - 1))
+    n = data.draw(st.integers(0, 300))
+    f1, f2, f3 = (expand_factor(f, n) for f in pochhammer((a, M - a, M), M))
+    assert jtp_theta(M, a, n) == f1 * f2 * f3
 
 
 @st.composite
@@ -108,10 +142,10 @@ def family_params(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(family_params(), st.integers(0, 400))
-def test_paired_family_quotient_equals_linear(params, length):
+def test_paired_family_quotient_equals_linear(linear_expand, params, length):
     spec = build_spec(params)
     order = spec.prefactor_exponent + length
-    assert expand_paired(spec, order) == expand_product(spec, order)
+    assert expand_product(spec, order) == linear_expand(spec, order)
 
 
 @st.composite
@@ -125,10 +159,10 @@ def specializations(draw, max_m=5, max_k=5):
 
 @settings(max_examples=150, deadline=None)
 @given(specializations(), st.integers(0, 150))
-def test_paired_1psi1_right_side_equals_linear(p, length):
+def test_paired_1psi1_right_side_equals_linear(linear_expand, p, length):
     spec = bilateral_product_spec(p)
     order = spec.prefactor_exponent + length
-    assert expand_paired(spec, order) == expand_product(spec, order)
+    assert expand_product(spec, order) == linear_expand(spec, order)
 
 
 @settings(max_examples=150, deadline=None)

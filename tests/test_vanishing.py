@@ -18,10 +18,10 @@ from qvanish.products import (
     PochhammerFactor,
     ProductSpec,
     expand_factor,
-    expand_paired,
     expand_product,
     pochhammer,
 )
+from qvanish.partitions import Partition, RestrictedPartitionSpec
 from qvanish.vanishing import (
     AlladiGordonParams,
     AndrewsBressoudParams,
@@ -247,7 +247,7 @@ def test_ag_and_shifted_classes_coincide_on_shared_products():
         assert zero_class(ag) == zero_class(sh)
 
 
-def test_paired_expansion_equals_linear_on_every_grid_tuple():
+def test_paired_expansion_equals_linear_on_every_grid_tuple(linear_expand):
     # verify_vanishing expands through theta pairs; the linear path is the
     # reference on every valid tuple of the sweep grids
     grids = [("ab", range(2, 13), ())]
@@ -261,7 +261,7 @@ def test_paired_expansion_equals_linear_on_every_grid_tuple():
                 continue
             spec = build_spec(params)
             normalized = ProductSpec(1, 0, spec.numerator, spec.denominator)
-            assert expand_paired(normalized, 300) == expand_product(normalized, 300), candidate
+            assert expand_product(normalized, 300) == linear_expand(normalized, 300), candidate
             checked += 1
     assert checked == 31 + 1288  # ab; then plus, minus and ag together
 
@@ -269,7 +269,14 @@ def test_paired_expansion_equals_linear_on_every_grid_tuple():
 def test_value_types_are_frozen_slotted_and_picklable():
     params = ShiftedQuotientParams(3, 5, 2, 1, "minus")
     report = verify_vanishing(params, 120)
-    for value, field in ((params, "m"), (report.spec, "prefactor_exponent"), (report, "order")):
+    values = [
+        (params, "m"),
+        (report.spec, "prefactor_exponent"),
+        (report, "order"),
+        (RestrictedPartitionSpec(30, {0, 1}, {7}, 40), "modulus"),
+        (Partition((2, 13, 17, 17)), "parts"),
+    ]
+    for value, field in values:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, field, 0)
         assert not hasattr(value, "__dict__")
