@@ -19,6 +19,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .errors import InvalidParams, TooLarge
 from .partitions import (
@@ -43,8 +44,7 @@ from .products import (
     verify_1psi1,
 )
 from .vanishing import (
-    AlladiGordonParams,
-    AndrewsBressoudParams,
+    FAMILIES,
     ShiftedQuotientParams,
     scan,
     verify_vanishing,
@@ -176,33 +176,29 @@ def parse_residues(bag: TokenBag, key: str) -> frozenset[int]:
         raise UsageError(f"cannot parse {key}={value} (expected comma-separated integers)") from None
 
 
-def parse_family(bag: TokenBag):
+def take_family(bag: TokenBag, families: dict) -> tuple[str, type]:
+    """The lower-cased family= token and its parameter class in families."""
     family = bag.take("family")
     if family is None:
         raise UsageError("missing required token family=")
     family = family.lower()
+    if family not in families:
+        raise UsageError(f"unknown family {family!r} (expected {', '.join(families)})")
+    return family, families[family]
+
+
+def field_values(bag: TokenBag, cls, sign: str = "plus") -> list:
+    """cls's constructor arguments in field order: every field but sign from
+    a required integer token, sign as given."""
+    return [sign if f.name == "sign" else bag.require_int(f.name) for f in fields(cls)]
+
+
+def parse_family(bag: TokenBag):
+    family, cls = take_family(bag, {**FAMILIES, "shifted": ShiftedQuotientParams})
     sign = bag.take("sign")
     if sign is not None and family not in ("shifted", "ag"):
         raise UsageError(f"sign= is only meaningful with family=shifted or family=ag, not {family}")
-    if family == "ab":
-        return AndrewsBressoudParams(bag.require_int("k"), bag.require_int("r"))
-    if family in ("plus", "minus", "shifted"):
-        sign = sign or ("plus" if family == "shifted" else family)
-        return ShiftedQuotientParams(
-            bag.require_int("m"),
-            bag.require_int("k"),
-            bag.require_int("s"),
-            bag.require_int("t"),
-            sign,
-        )
-    if family == "ag":
-        return AlladiGordonParams(
-            bag.require_int("m"),
-            bag.require_int("k"),
-            bag.require_int("s"),
-            sign or "plus",
-        )
-    raise UsageError(f"unknown family {family!r} (expected ab, plus, minus, shifted, or ag)")
+    return cls(*field_values(bag, cls, sign or ("minus" if family == "minus" else "plus")))
 
 
 # -- output helpers -------------------------------------------------------------
@@ -296,13 +292,13 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     bag = TokenBag(args.tokens)
-    family = bag.take("family")
-    if family is None:
-        raise UsageError("missing required token family=")
+    family, cls = take_family(bag, FAMILIES)
     k_range = bag.take_range("k")
     if k_range is None:
         raise UsageError("missing required token k= (single value or LO..HI)")
-    m_range = bag.take_range("m", default=range(2, 3))
+    # a family without an m field leaves m= to bag.finish() to refuse
+    has_m = any(f.name == "m" for f in fields(cls))
+    m_range = bag.take_range("m", default=range(2, 3)) if has_m else ()
     order = resolve_order(bag, default=500)
     bag.finish()
     result = scan(k_range, m_range, order, family, jobs=args.jobs)
@@ -310,7 +306,7 @@ def cmd_scan(args) -> int:
     if args.format == "json":
         emit_json(
             {
-                "family": family.lower(),
+                "family": family,
                 "order": order,
                 "checked": len(result.reports),
                 "verified": len(result.reports) - len(violated),
@@ -360,15 +356,6 @@ def partition_spec_from(bag: TokenBag) -> RestrictedPartitionSpec:
     return RestrictedPartitionSpec(modulus, rep, dist, max_part)
 
 
-def shift_tokens(bag: TokenBag) -> tuple[int, int, int, int]:
-    return (
-        bag.require_int("m"),
-        bag.require_int("k"),
-        bag.require_int("s"),
-        bag.require_int("t"),
-    )
-
-
 def cmd_partitions(args) -> int:
     bag = TokenBag(args.tokens)
     op = args.operation
@@ -398,7 +385,7 @@ def cmd_partitions(args) -> int:
                 print(p.render())
         return 0
     if op == "signed-sum":
-        m, k, s, t = shift_tokens(bag)
+        m, k, s, t, _ = field_values(bag, ShiftedQuotientParams)
         n = bag.require_int("n")
         bag.finish()
         terms = signed_sum_terms(m, k, s, t, n)
@@ -425,7 +412,7 @@ def cmd_partitions(args) -> int:
             print(total)
         return 0 if total == 0 else 1
     if op == "parity":
-        m, k, s, t = shift_tokens(bag)
+        m, k, s, t, _ = field_values(bag, ShiftedQuotientParams)
         n = bag.require_int("n")
         bag.finish()
         params = ShiftedQuotientParams(m, k, s, t, "minus")

@@ -189,9 +189,7 @@ class LaurentSeries:
     __radd__ = __add__
 
     def __sub__(self, other: "LaurentSeries | int") -> "LaurentSeries":
-        if isinstance(other, LaurentSeries):
-            return self + (-other)
-        if isinstance(other, int):
+        if isinstance(other, (LaurentSeries, int)):
             return self + (-other)
         return NotImplemented
 

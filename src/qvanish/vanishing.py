@@ -1,8 +1,8 @@
 """Theorem families asserting vanishing coefficient classes, plus verification.
 
-Four families of Pochhammer quotients are parameterized here, each coming
-with a predicted arithmetic progression of exponents whose coefficients all
-vanish:
+Three parameter classes cover the four family names ``ab``, ``plus``,
+``minus`` and ``ag``; each quotient comes with a predicted arithmetic
+progression of exponents whose coefficients all vanish:
 
 * ``AndrewsBressoudParams``: (q^r, q^{2k-r}; q^{2k}) / (q^{k-r}, q^{k+r}; q^{2k}),
   zero class kn + r(k-r+1)/2, for coprime r < k of opposite parity.
@@ -13,6 +13,11 @@ vanish:
 * ``AlladiGordonParams``: (q^r, q^{mk-r}; q^{mk}) / (q^s, q^{mk-s}; q^{mk})
   for m < k, with r, r' derived from s; zero class n = rr' mod k.  The
   ``minus`` variant negates the denominator arguments and needs odd k.
+
+Each class is the one home of its family's rules: validation, ``spec()``
+(the quotient), ``zero_class()``, ``as_dict()`` (the reported parameters, in
+field order) and the ``grid()`` of candidates a scan visits.  ``FAMILIES``
+maps each scan family name to its class.
 
 When r - tk < 0 the shifted quotient is normalized through
     (q^{-c}, q^{mk+c}; q^{mk}) = -q^{-c} (q^{mk-c}, q^c; q^{mk}),  c = tk - r,
@@ -31,7 +36,7 @@ against a plain linear expansion on every tuple of the sweep grids.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd
 from typing import Iterable, Iterator, Union
 
@@ -43,6 +48,7 @@ __all__ = [
     "ShiftedQuotientParams",
     "AlladiGordonParams",
     "TheoremParams",
+    "FAMILIES",
     "ResidueClass",
     "VanishingReport",
     "ScanResult",
@@ -93,6 +99,27 @@ class AndrewsBressoudParams:
         if self.r % 2 == self.k % 2:
             raise InvalidParams(f"r and k must have opposite parity, got r={self.r}, k={self.k}")
 
+    def spec(self) -> ProductSpec:
+        k, r = self.k, self.r
+        return ProductSpec(
+            1, 0, pochhammer((r, 2 * k - r), 2 * k), pochhammer((k - r, k + r), 2 * k)
+        )
+
+    def zero_class(self) -> ResidueClass:
+        # r(k-r+1) is even: opposite parity makes k-r+1 even when r is odd,
+        # and r even covers the rest.
+        return ResidueClass(self.k, (self.r * (self.k - self.r + 1)) // 2)
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def grid(cls, ks: list[int], ms: list[int], family: str) -> Iterator[dict]:
+        """Candidate (k, r) dicts in lexicographic order; ms plays no part."""
+        for k in ks:
+            for r in range(1, k):
+                yield {"k": k, "r": r}
+
 
 @dataclass(frozen=True, slots=True)
 class ShiftedQuotientParams:
@@ -126,6 +153,41 @@ class ShiftedQuotientParams:
     def family(self) -> str:
         return self.sign
 
+    def _normalization(self) -> tuple[int, int]:
+        """(c, a): the prefactor -q^{-c} of the rewrite (c = 0 when r > tk)
+        and the numerator offset a of (q^a, q^{mk-a}; q^{mk})."""
+        c = self.t * self.k - self.r
+        if c == 0:
+            # Unreachable for validated params: r = tk forces k | r, against gcd(r,k)=1.
+            raise Degenerate(f"r = tk = {self.r}: the quotient is identically zero")
+        if c < 0:
+            return 0, -c
+        return c, self.m * self.k - c
+
+    def spec(self) -> ProductSpec:
+        mk, r = self.m * self.k, self.r
+        c, a = self._normalization()
+        den = pochhammer((r, mk - r), mk, 1 if self.sign == "plus" else -1)
+        return ProductSpec(-1 if c else 1, -c, pochhammer((a, mk - a), mk), den)
+
+    def zero_class(self) -> ResidueClass:
+        # the -q^{-c} prefactor moves class -rs of the raw quotient to c - rs
+        # on the normalized product
+        c, _ = self._normalization()
+        return ResidueClass(self.k, c - self.r * self.s)
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def grid(cls, ks: list[int], ms: list[int], family: str) -> Iterator[dict]:
+        """Candidate (m, k, s, t) dicts in lexicographic order, sign = family."""
+        for m in ms:
+            for k in ks:
+                for s in range(k):
+                    for t in range(1, m):
+                        yield {"m": m, "k": k, "s": s, "t": t, "sign": family}
+
 
 @dataclass(frozen=True, slots=True)
 class AlladiGordonParams:
@@ -135,6 +197,7 @@ class AlladiGordonParams:
     k: int
     s: int
     sign: str = "plus"
+    family = "ag"
 
     def __post_init__(self):
         if not 1 < self.m < self.k:
@@ -170,60 +233,49 @@ class AlladiGordonParams:
             )
         return rp
 
-    @property
-    def family(self) -> str:
-        return "ag"
+    def spec(self) -> ProductSpec:
+        mk, r, s = self.m * self.k, self.r, self.s
+        den_sign = 1 if self.sign == "plus" else -1
+        return ProductSpec(
+            1, 0, pochhammer((r, mk - r), mk), pochhammer((s, mk - s), mk, den_sign)
+        )
+
+    def zero_class(self) -> ResidueClass:
+        return ResidueClass(self.k, self.r * self.r_prime)
+
+    def as_dict(self) -> dict:
+        return {**asdict(self), "r_star": self.r_star, "r_prime": self.r_prime}
+
+    @classmethod
+    def grid(cls, ks: list[int], ms: list[int], family: str) -> Iterator[dict]:
+        """Candidate (m, k, s, sign) dicts in lexicographic order, both signs."""
+        for m in ms:
+            for k in ks:
+                for s in range(1, m * k):
+                    for sign in ("plus", "minus"):
+                        yield {"m": m, "k": k, "s": s, "sign": sign}
 
 
 TheoremParams = Union[AndrewsBressoudParams, ShiftedQuotientParams, AlladiGordonParams]
 
 
+# scan family name -> parameter class
+FAMILIES = {
+    "ab": AndrewsBressoudParams,
+    "plus": ShiftedQuotientParams,
+    "minus": ShiftedQuotientParams,
+    "ag": AlladiGordonParams,
+}
+
+
 def build_spec(params: TheoremParams) -> ProductSpec:
     """The Pochhammer quotient whose expansion the family constrains."""
-    if isinstance(params, AndrewsBressoudParams):
-        k, r = params.k, params.r
-        return ProductSpec(
-            1, 0, pochhammer((r, 2 * k - r), 2 * k), pochhammer((k - r, k + r), 2 * k)
-        )
-    if isinstance(params, ShiftedQuotientParams):
-        mk, tk, r = params.m * params.k, params.t * params.k, params.r
-        den_sign = 1 if params.sign == "plus" else -1
-        den = pochhammer((r, mk - r), mk, den_sign)
-        if r > tk:
-            return ProductSpec(1, 0, pochhammer((r - tk, mk - (r - tk)), mk), den)
-        if r < tk:
-            c = tk - r
-            return ProductSpec(-1, -c, pochhammer((mk - c, c), mk), den)
-        # Unreachable for validated params: r = tk forces k | r, against gcd(r,k)=1.
-        raise Degenerate(f"r = tk = {r}: numerator contains (q^0; q^{mk}) = 0")
-    if isinstance(params, AlladiGordonParams):
-        mk, r, s = params.m * params.k, params.r, params.s
-        den_sign = 1 if params.sign == "plus" else -1
-        return ProductSpec(
-            1, 0, pochhammer((r, mk - r), mk), pochhammer((s, mk - s), mk, den_sign)
-        )
-    raise InvalidParams(f"unknown parameter type {type(params).__name__}")
+    return params.spec()
 
 
 def zero_class(params: TheoremParams) -> ResidueClass:
     """Predicted all-zero residue class of the normalized expansion."""
-    if isinstance(params, AndrewsBressoudParams):
-        k, r = params.k, params.r
-        # r(k-r+1) is even: opposite parity makes k-r+1 even when r is odd,
-        # and r even covers the rest.
-        return ResidueClass(k, (r * (k - r + 1)) // 2)
-    if isinstance(params, ShiftedQuotientParams):
-        k, tk, r, s = params.k, params.t * params.k, params.r, params.s
-        if r > tk:
-            return ResidueClass(k, -r * s)
-        if r < tk:
-            # the -q^{-(tk-r)} prefactor moves class -rs of the raw quotient
-            # to tk - r - rs on the normalized product
-            return ResidueClass(k, tk - r - r * s)
-        raise Degenerate(f"r = tk = {r}: the quotient is identically zero")
-    if isinstance(params, AlladiGordonParams):
-        return ResidueClass(params.k, params.r * params.r_prime)
-    raise InvalidParams(f"unknown parameter type {type(params).__name__}")
+    return params.zero_class()
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,21 +321,6 @@ class VanishingReport:
         return f"{head}: VIOLATED at {len(self.violations)} exponents (smallest: {shown})"
 
 
-def _params_dict(params: TheoremParams) -> dict:
-    if isinstance(params, AndrewsBressoudParams):
-        return {"k": params.k, "r": params.r}
-    if isinstance(params, ShiftedQuotientParams):
-        return {"m": params.m, "k": params.k, "s": params.s, "t": params.t, "sign": params.sign}
-    return {
-        "m": params.m,
-        "k": params.k,
-        "s": params.s,
-        "sign": params.sign,
-        "r_star": params.r_star,
-        "r_prime": params.r_prime,
-    }
-
-
 def verify_vanishing(params: TheoremParams, order: int) -> VanishingReport:
     """Expand the family's quotient and check the predicted class exhaustively.
 
@@ -319,7 +356,7 @@ def verify_vanishing(params: TheoremParams, order: int) -> VanishingReport:
     )
     return VanishingReport(
         family=params.family,
-        params=_params_dict(params),
+        params=params.as_dict(),
         r=params.r,
         spec=spec,
         order=order,
@@ -347,38 +384,6 @@ class ScanResult:
         return all(rep.verified for rep in self.reports)
 
 
-def _grid(family: str, k_range: Iterable[int], m_range: Iterable[int]) -> Iterator[dict]:
-    """Candidate parameter dicts in lexicographic order, validity not yet checked."""
-    ks = sorted(set(k_range))
-    ms = sorted(set(m_range))
-    if family == "ab":
-        for k in ks:
-            for r in range(1, k):
-                yield {"k": k, "r": r}
-    elif family in ("plus", "minus"):
-        for m in ms:
-            for k in ks:
-                for s in range(k):
-                    for t in range(1, m):
-                        yield {"m": m, "k": k, "s": s, "t": t, "sign": family}
-    elif family == "ag":
-        for m in ms:
-            for k in ks:
-                for s in range(1, m * k):
-                    for sign in ("plus", "minus"):
-                        yield {"m": m, "k": k, "s": s, "sign": sign}
-    else:
-        raise InvalidParams(f"unknown family {family!r}; expected ab, plus, minus, or ag")
-
-
-_FAMILY_TYPES = {
-    "ab": AndrewsBressoudParams,
-    "plus": ShiftedQuotientParams,
-    "minus": ShiftedQuotientParams,
-    "ag": AlladiGordonParams,
-}
-
-
 def _verify_tuple(job: tuple[TheoremParams, int]) -> VanishingReport:
     params, order = job
     return verify_vanishing(params, order)
@@ -404,12 +409,12 @@ def scan(
         raise InvalidParams(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     family = family.lower()
-    cls = _FAMILY_TYPES.get(family)
+    cls = FAMILIES.get(family)
     if cls is None:
         raise InvalidParams(f"unknown family {family!r}; expected ab, plus, minus, or ag")
     valid: list[TheoremParams] = []
     skipped: list[tuple[dict, str]] = []
-    for candidate in _grid(family, k_range, m_range):
+    for candidate in cls.grid(sorted(set(k_range)), sorted(set(m_range)), family):
         try:
             valid.append(cls(**candidate))
         except InvalidParams as ex:

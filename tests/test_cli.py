@@ -229,6 +229,28 @@ def test_scan_requires_family_and_k(capsys):
     assert code == 2 and "k=" in err
 
 
+def test_scan_refuses_m_for_a_family_without_m(capsys):
+    code, out, err = run(capsys, "scan", "family=ab", "k=3..4", "m=5")
+    assert (code, out) == (2, "")
+    assert "unknown token m=" in err
+    code, out, err = run(capsys, "verify", "family=ab", "k=6", "r=1", "m=3")
+    assert (code, out) == (2, "")
+    assert "unknown token m=" in err
+
+
+def test_family_tokens_are_read_in_field_order(capsys):
+    # the first missing field, in the params class's field order, is named
+    for argv, missing in [
+        (("verify", "family=plus", "k=15", "t=1"), "m="),
+        (("verify", "family=ab", "r=1"), "k="),
+        (("verify", "family=ag", "m=2", "k=5"), "s="),
+        (("partitions", "signed-sum", "m=2", "k=15", "n=20"), "s="),
+        (("partitions", "parity", "m=2", "s=8", "t=1", "n=149"), "k="),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: missing required token {missing}\n"), argv
+
+
 def test_partitions_count(capsys):
     code, out, _ = run(capsys, "partitions", "count", "modulus=30", "rep=0,1,29", "n=0")
     assert code == 0

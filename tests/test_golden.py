@@ -1,9 +1,11 @@
-"""Golden CLI outputs: fixed commands whose JSON output must stay byte-identical.
+"""Golden CLI outputs: fixed commands whose stdout must stay byte-identical.
 
-Each digest is the blake2b (16-byte) hash of the command's JSON stdout, taken
-from the implementation before the block-product series kernels and the
-running-sum division pass. A change that alters any printed coefficient,
-report field or formatting detail shows up here as a digest mismatch.
+Each digest is the blake2b (16-byte) hash of the command's stdout. The JSON
+digests were taken from the implementation before the block-product series
+kernels and the running-sum division pass; the text and CSV digests from the
+implementation before each family's rules moved into its params class. A
+change that alters any printed coefficient, report field or formatting detail
+shows up here as a digest mismatch.
 """
 
 from __future__ import annotations
@@ -37,9 +39,37 @@ GOLDEN = [
      "f33df3ceee86afe0e8e662ba70228d63"),
 ]
 
+# JSON sorts the params dict's keys away; text and CSV print them in field
+# order, so these pin that order. Each entry carries its --format.
+GOLDEN_FORMATTED = [
+    (("verify", "family=ab", "k=6", "r=1", "order=600"), "text",
+     "843941b11695f9ecf80d65c351f0a1fd"),
+    (("verify", "family=plus", "m=2", "k=15", "s=0", "t=1", "order=600"), "text",
+     "2903bf89d7eb460136070440014f932b"),
+    (("verify", "family=ag", "m=2", "k=5", "s=1", "sign=minus", "order=400"), "text",
+     "d613b770058e35e99261e6ef71fd8de6"),
+    (("scan", "family=minus", "k=3..5", "m=2..3", "order=120"), "csv",
+     "3e2b878e33f10c414206c73e894f3fbb"),
+    (("scan", "family=ag", "k=3..4", "m=2", "order=120"), "csv",
+     "5a377655debe657be9b7bb3a1679cc49"),
+]
+
+
+def stdout_digest(capsys, argv, fmt):
+    assert main([*argv, f"--format={fmt}"]) == 0
+    out = capsys.readouterr().out
+    return hashlib.blake2b(out.encode(), digest_size=16).hexdigest()
+
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a[:2]) for a, _ in GOLDEN])
 def test_golden_json_output(capsys, argv, digest):
-    assert main([*argv, "--format=json"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.blake2b(out.encode(), digest_size=16).hexdigest() == digest
+    assert stdout_digest(capsys, argv, "json") == digest
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, digest",
+    GOLDEN_FORMATTED,
+    ids=[f"{' '.join(a[:2])} {f}" for a, f, _ in GOLDEN_FORMATTED],
+)
+def test_golden_formatted_output(capsys, argv, fmt, digest):
+    assert stdout_digest(capsys, argv, fmt) == digest

@@ -23,6 +23,7 @@ from qvanish.products import (
 )
 from qvanish.partitions import Partition, RestrictedPartitionSpec
 from qvanish.vanishing import (
+    FAMILIES,
     AlladiGordonParams,
     AndrewsBressoudParams,
     ResidueClass,
@@ -34,7 +35,6 @@ from qvanish.vanishing import (
     verify_vanishing,
     zero_class,
 )
-from qvanish.vanishing import _FAMILY_TYPES, _grid
 
 
 # -- parameter validation ------------------------------------------------------
@@ -254,9 +254,10 @@ def test_paired_expansion_equals_linear_on_every_grid_tuple(linear_expand):
     grids += [(family, range(2, 9), range(2, 9)) for family in ("plus", "minus", "ag")]
     checked = 0
     for family, k_range, m_range in grids:
-        for candidate in _grid(family, k_range, m_range):
+        cls = FAMILIES[family]
+        for candidate in cls.grid(list(k_range), list(m_range), family):
             try:
-                params = _FAMILY_TYPES[family](**candidate)
+                params = cls(**candidate)
             except InvalidParams:
                 continue
             spec = build_spec(params)
@@ -322,6 +323,24 @@ def test_report_violation_rendering():
 
 
 # -- scan ------------------------------------------------------------------------
+
+
+def test_family_grids_yield_constructor_fields_and_reported_params():
+    # a grid candidate is the class's constructor arguments in field order,
+    # and the reported params dict starts with exactly that candidate
+    for family, cls in FAMILIES.items():
+        names = [f.name for f in dataclasses.fields(cls)]
+        valid = 0
+        for candidate in cls.grid(list(range(2, 8)), list(range(2, 5)), family):
+            assert list(candidate) == names, (family, candidate)
+            try:
+                params = cls(**candidate)
+            except InvalidParams:
+                continue
+            assert params.family == family
+            assert list(params.as_dict().items())[: len(names)] == list(candidate.items())
+            valid += 1
+        assert valid > 0, family
 
 
 def test_scan_counts_and_orders():
