@@ -1,11 +1,17 @@
 """Command-line surface: expansion, verification, scans, partitions, identities.
 
+COMMANDS is the one command table: expand, verify, scan, partitions
+count|enumerate|signed-sum|parity and identity 1psi1|jtp|lambert-cancel.
+Each leaf takes --format text|json|csv plus only its own flags (scan --jobs,
+enumerate --cap, signed-sum --show-terms, parity --enumerate --cap), given
+after the operation.  A leaf's handler cmd_<leaf> returns an Output holding
+its result in every format, and main alone prints the format asked for; json
+output is deterministic and serializes large coefficients as decimal strings.
+
 Product factors use a mini-syntax mirroring the usual notation: "num=3,5:8"
 stands for the numerator (q^3, q^5; q^8)oo, a leading "-" on an offset negates
 that argument ("den=-1,-7:8" for (-q, -q^7; q^8)oo in the denominator), and
-"pre=-1:-2" supplies a prefactor -q^{-2}.  Every subcommand accepts
---format text|json|csv; json output is deterministic and serializes large
-coefficients as decimal strings.
+"pre=-1:-2" supplies a prefactor -q^{-2}.
 
 Exit codes: 0 success or identity verified, 1 mathematical violation found,
 2 usage or parameter error, 3 unexpected internal error (a crash, reported
@@ -20,6 +26,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from typing import NamedTuple
 
 from .errors import InvalidParams, TooLarge
 from .partitions import (
@@ -196,48 +203,43 @@ def field_values(bag: TokenBag, cls, sign: str = "plus") -> list:
 def parse_family(bag: TokenBag):
     family, cls = take_family(bag, {**FAMILIES, "shifted": ShiftedQuotientParams})
     sign = bag.take("sign")
-    if sign is not None and family not in ("shifted", "ag"):
+    if sign is None:
+        sign = "minus" if family == "minus" else "plus"
+    elif family not in ("shifted", "ag"):
         raise UsageError(f"sign= is only meaningful with family=shifted or family=ag, not {family}")
-    return cls(*field_values(bag, cls, sign or ("minus" if family == "minus" else "plus")))
-
-
-# -- output helpers -------------------------------------------------------------
-
-
-def emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
-def emit_csv(header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def render_check(check, fmt: str) -> int:
-    if fmt == "json":
-        payload = {"ok": check.ok}
-        if not check.ok:
-            payload.update(
-                exponent=check.exponent, lhs=str(check.lhs), rhs=str(check.rhs)
-            )
-        emit_json(payload)
-    elif fmt == "csv":
-        row = [check.ok, "", "", ""]
-        if not check.ok:
-            row = [check.ok, check.exponent, str(check.lhs), str(check.rhs)]
-        emit_csv(["ok", "exponent", "lhs", "rhs"], [row])
-    elif check.ok:
-        print("pass")
-    else:
-        print(f"fail at q^{check.exponent}: lhs={check.lhs} rhs={check.rhs}")
-    return 0 if check.ok else 1
+    return cls(*field_values(bag, cls, sign))
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_expand(args) -> int:
+class Output(NamedTuple):
+    """A command's result in every format; main prints the one asked for."""
+
+    code: int
+    json: dict
+    header: list[str]
+    rows: list[list]
+    text: list[str]
+
+
+CHECK_HEADER = ["ok", "exponent", "lhs", "rhs"]
+
+
+def check_output(check) -> Output:
+    if check.ok:
+        return Output(0, {"ok": True}, CHECK_HEADER, [[True, "", "", ""]], ["pass"])
+    e, lhs, rhs = check.exponent, str(check.lhs), str(check.rhs)
+    return Output(
+        1,
+        {"ok": False, "exponent": e, "lhs": lhs, "rhs": rhs},
+        CHECK_HEADER,
+        [[False, e, lhs, rhs]],
+        [f"fail at q^{e}: lhs={lhs} rhs={rhs}"],
+    )
+
+
+def cmd_expand(args) -> Output:
     bag = TokenBag(args.tokens)
     numerator = parse_factors(bag, "num")
     denominator = parse_factors(bag, "den")
@@ -245,52 +247,34 @@ def cmd_expand(args) -> int:
     order = resolve_order(bag)
     bag.finish()
     series = expand_product(ProductSpec(sign, exponent, numerator, denominator), order)
-    pairs = [(e, series[e]) for e in range(series.valuation, series.order)]
-    if args.format == "json":
-        emit_json(
-            {
-                "valuation": series.valuation,
-                "order": series.order,
-                "coefficients": [[e, str(c)] for e, c in pairs],
-            }
-        )
-    elif args.format == "csv":
-        emit_csv(["exponent", "coefficient"], [[e, str(c)] for e, c in pairs])
-    else:
-        for e, c in pairs:
-            print(f"q^{e}: {c}")
-    return 0
+    pairs = [[e, str(series[e])] for e in range(series.valuation, series.order)]
+    return Output(
+        0,
+        {"valuation": series.valuation, "order": series.order, "coefficients": pairs},
+        ["exponent", "coefficient"],
+        pairs,
+        [f"q^{e}: {c}" for e, c in pairs],
+    )
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     bag = TokenBag(args.tokens)
     params = parse_family(bag)
     order = resolve_order(bag)
     bag.finish()
     report = verify_vanishing(params, order)
-    if args.format == "json":
-        emit_json(report.to_json_dict())
-    elif args.format == "csv":
-        emit_csv(
-            ["family", "r", "order", "zero_mod", "zero_res", "verified", "violations"],
-            [
-                [
-                    report.family,
-                    report.r,
-                    report.order,
-                    report.zero_class.modulus,
-                    report.zero_class.residue,
-                    report.verified,
-                    len(report.violations),
-                ]
-            ],
-        )
-    else:
-        print(report.render_text())
-    return 0 if report.verified else 1
+    zero = report.zero_class
+    return Output(
+        0 if report.verified else 1,
+        report.to_json_dict(),
+        ["family", "r", "order", "zero_mod", "zero_res", "verified", "violations"],
+        [[report.family, report.r, report.order, zero.modulus, zero.residue, report.verified,
+          len(report.violations)]],
+        [report.render_text()],
+    )
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> Output:
     bag = TokenBag(args.tokens)
     family, cls = take_family(bag, FAMILIES)
     k_range = bag.take_range("k")
@@ -302,176 +286,180 @@ def cmd_scan(args) -> int:
     order = resolve_order(bag, default=500)
     bag.finish()
     result = scan(k_range, m_range, order, family, jobs=args.jobs)
-    violated = [report for report in result.reports if not report.verified]
-    if args.format == "json":
-        emit_json(
-            {
-                "family": family,
-                "order": order,
-                "checked": len(result.reports),
-                "verified": len(result.reports) - len(violated),
-                "violated": len(violated),
-                "skipped": [
-                    {"params": params, "reason": reason}
-                    for params, reason in result.skipped
-                ],
-                "reports": [report.to_json_dict() for report in result.reports],
-            }
-        )
-    elif args.format == "csv":
-        rows = []
-        for report in result.reports:
-            rows.append(
-                [
-                    report.family,
-                    ";".join(f"{k}={v}" for k, v in report.params.items()),
-                    report.r,
-                    report.zero_class.modulus,
-                    report.zero_class.residue,
-                    "verified" if report.verified else "violated",
-                    len(report.violations),
-                ]
-            )
-        for params, reason in result.skipped:
-            rows.append(
-                ["", ";".join(f"{k}={v}" for k, v in params.items()), "", "", "", "skipped", reason]
-            )
-        emit_csv(["family", "params", "r", "zero_mod", "zero_res", "status", "detail"], rows)
-    else:
-        for report in violated:
-            print(report.render_text())
-        print(
-            f"checked {len(result.reports)} tuples "
-            f"({len(result.reports) - len(violated)} verified, {len(violated)} violated, "
-            f"{len(result.skipped)} skipped)"
-        )
-    return 0 if not violated else 1
+    reports, skipped = result.reports, result.skipped
+    violated = [report.render_text() for report in reports if not report.verified]
+
+    def joined(params):
+        return ";".join(f"{k}={v}" for k, v in params.items())
+
+    return Output(
+        1 if violated else 0,
+        {
+            "family": family,
+            "order": order,
+            "checked": len(reports),
+            "verified": len(reports) - len(violated),
+            "violated": len(violated),
+            "skipped": [{"params": params, "reason": reason} for params, reason in skipped],
+            "reports": [report.to_json_dict() for report in reports],
+        },
+        ["family", "params", "r", "zero_mod", "zero_res", "status", "detail"],
+        [
+            [report.family, joined(report.params), report.r, report.zero_class.modulus,
+             report.zero_class.residue, "verified" if report.verified else "violated",
+             len(report.violations)]
+            for report in reports
+        ]
+        + [["", joined(params), "", "", "", "skipped", reason] for params, reason in skipped],
+        [
+            *violated,
+            f"checked {len(reports)} tuples ({len(reports) - len(violated)} verified, "
+            f"{len(violated)} violated, {len(skipped)} skipped)",
+        ],
+    )
 
 
-def partition_spec_from(bag: TokenBag) -> RestrictedPartitionSpec:
+def partition_tokens(args) -> tuple[RestrictedPartitionSpec, int]:
+    """The spec and n of count and enumerate."""
+    bag = TokenBag(args.tokens)
     modulus = bag.require_int("modulus")
     rep = parse_residues(bag, "rep")
     dist = parse_residues(bag, "dist")
-    max_part = bag.take_int("max")
-    return RestrictedPartitionSpec(modulus, rep, dist, max_part)
+    spec = RestrictedPartitionSpec(modulus, rep, dist, bag.take_int("max"))
+    n = bag.require_int("n")
+    bag.finish()
+    return spec, n
 
 
-def cmd_partitions(args) -> int:
+def cmd_count(args) -> Output:
+    spec, n = partition_tokens(args)
+    count = str(count_restricted(spec, n))
+    return Output(0, {"n": n, "count": count}, ["n", "count"], [[n, count]], [count])
+
+
+def cmd_enumerate(args) -> Output:
+    spec, n = partition_tokens(args)
+    listed = [p.render() for p in enumerate_restricted(spec, n, cap=args.cap)]
+    return Output(
+        0,
+        {"n": n, "count": len(listed), "partitions": listed},
+        ["partition"],
+        [[p] for p in listed],
+        listed,
+    )
+
+
+def cmd_signed_sum(args) -> Output:
     bag = TokenBag(args.tokens)
-    op = args.operation
-    if op == "count":
-        spec = partition_spec_from(bag)
-        n = bag.require_int("n")
-        bag.finish()
-        count = count_restricted(spec, n)
-        if args.format == "json":
-            emit_json({"n": n, "count": str(count)})
-        elif args.format == "csv":
-            emit_csv(["n", "count"], [[n, str(count)]])
-        else:
-            print(count)
-        return 0
-    if op == "enumerate":
-        spec = partition_spec_from(bag)
-        n = bag.require_int("n")
-        bag.finish()
-        listed = enumerate_restricted(spec, n, cap=args.cap)
-        if args.format == "json":
-            emit_json({"n": n, "count": len(listed), "partitions": [p.render() for p in listed]})
-        elif args.format == "csv":
-            emit_csv(["partition"], [[p.render()] for p in listed])
-        else:
-            for p in listed:
-                print(p.render())
-        return 0
-    if op == "signed-sum":
-        m, k, s, t, _ = field_values(bag, ShiftedQuotientParams)
-        n = bag.require_int("n")
-        bag.finish()
-        terms = signed_sum_terms(m, k, s, t, n)
-        total = sum(term.signed for term in terms)
-        if args.format == "json":
-            emit_json(
-                {
-                    "n": n,
-                    "terms": [[term.j, term.argument, str(term.signed)] for term in terms],
-                    "total": str(total),
-                }
-            )
-        elif args.format == "csv":
-            emit_csv(
-                ["j", "argument", "count", "signed"],
-                [[term.j, term.argument, str(term.count), str(term.signed)] for term in terms],
-            )
-        elif args.show_terms:
-            print("j argument signed")
-            for term in terms:
-                print(f"{term.j} {term.argument} {term.signed}")
-            print(f"total {total}")
-        else:
-            print(total)
-        return 0 if total == 0 else 1
-    if op == "parity":
-        m, k, s, t, _ = field_values(bag, ShiftedQuotientParams)
-        n = bag.require_int("n")
-        bag.finish()
-        params = ShiftedQuotientParams(m, k, s, t, "minus")
-        spec = parity_spec(m, k, s, t)
-        even, odd = count_restricted_by_parity(spec, n)
-        in_class = zero_class(params).contains(n)
-        listed = enumerate_restricted(spec, n, cap=args.cap) if args.enumerate else []
-        if args.format == "json":
-            payload = {"n": n, "even": str(even), "odd": str(odd), "in_class": in_class}
-            if args.enumerate:
-                payload["partitions"] = {
-                    "even": [p.render() for p in listed if p.num_parts % 2 == 0],
-                    "odd": [p.render() for p in listed if p.num_parts % 2 == 1],
-                }
-            emit_json(payload)
-        elif args.format == "csv":
-            emit_csv(["n", "even", "odd", "in_class"], [[n, str(even), str(odd), in_class]])
-        else:
-            print(f"even {even}")
-            print(f"odd {odd}")
-            for p in listed:
-                label = "even" if p.num_parts % 2 == 0 else "odd"
-                print(f"{label}: {p.render()}")
-        return 1 if in_class and even != odd else 0
-    raise UsageError(f"unknown partitions operation {op!r}")
+    m, k, s, t, _ = field_values(bag, ShiftedQuotientParams)
+    n = bag.require_int("n")
+    bag.finish()
+    terms = signed_sum_terms(m, k, s, t, n)
+    total = sum(term.signed for term in terms)
+    rows = [[term.j, term.argument, str(term.count), str(term.signed)] for term in terms]
+    text = [str(total)]
+    if args.show_terms:
+        text = ["j argument signed", *(f"{j} {a} {signed}" for j, a, _, signed in rows),
+                f"total {total}"]
+    return Output(
+        0 if total == 0 else 1,
+        {"n": n, "terms": [[j, a, signed] for j, a, _, signed in rows], "total": str(total)},
+        ["j", "argument", "count", "signed"],
+        rows,
+        text,
+    )
 
 
-def cmd_identity(args) -> int:
+def cmd_parity(args) -> Output:
     bag = TokenBag(args.tokens)
-    which = args.which
-    if which == "1psi1":
-        p = BilateralSpecialization(
-            bag.require_int("m"), bag.require_int("k"), bag.require_int("t"), bag.require_int("r")
-        )
-        order = resolve_order(bag, default=300)
-        bag.finish()
-        return render_check(verify_1psi1(p, order), args.format)
-    if which == "jtp":
-        modulus = bag.require_int("M")
-        a = bag.require_int("a")
-        order = resolve_order(bag, default=200)
-        bag.finish()
-        # factor by factor: expand_product would pair the symbols into
-        # jtp_theta itself and compare the theta series with itself
-        f1, f2, f3 = (expand_factor(f, order) for f in jtp_product_spec(modulus, a).numerator)
-        check = compare_series(jtp_theta(modulus, a, order), f1 * f2 * f3)
-        return render_check(check, args.format)
-    if which == "lambert-cancel":
-        p = BilateralSpecialization(
-            bag.require_int("m"), bag.require_int("k"), bag.require_int("t"), bag.require_int("r")
-        )
-        s = bag.require_int("s")
-        order = resolve_order(bag, default=300)
-        bag.finish()
-        return render_check(cancellation_check(p, s, order), args.format)
-    raise UsageError(f"unknown identity {which!r}")
+    m, k, s, t, _ = field_values(bag, ShiftedQuotientParams)
+    n = bag.require_int("n")
+    bag.finish()
+    spec = parity_spec(m, k, s, t)
+    even, odd = count_restricted_by_parity(spec, n)
+    in_class = zero_class(ShiftedQuotientParams(m, k, s, t, "minus")).contains(n)
+    payload = {"n": n, "even": str(even), "odd": str(odd), "in_class": in_class}
+    text = [f"even {payload['even']}", f"odd {payload['odd']}"]
+    if args.enumerate:
+        labelled = [
+            ("even" if p.num_parts % 2 == 0 else "odd", p.render())
+            for p in enumerate_restricted(spec, n, cap=args.cap)
+        ]
+        payload["partitions"] = {
+            side: [p for label, p in labelled if label == side] for side in ("even", "odd")
+        }
+        text += [f"{label}: {p}" for label, p in labelled]
+    return Output(
+        1 if in_class and even != odd else 0,
+        payload,
+        ["n", "even", "odd", "in_class"],
+        [[n, payload["even"], payload["odd"], in_class]],
+        text,
+    )
 
 
-# -- entry point ------------------------------------------------------------------
+def cmd_1psi1(args) -> Output:
+    bag = TokenBag(args.tokens)
+    p = BilateralSpecialization(*field_values(bag, BilateralSpecialization))
+    order = resolve_order(bag, default=300)
+    bag.finish()
+    return check_output(verify_1psi1(p, order))
+
+
+def cmd_jtp(args) -> Output:
+    bag = TokenBag(args.tokens)
+    modulus = bag.require_int("M")
+    a = bag.require_int("a")
+    order = resolve_order(bag, default=200)
+    bag.finish()
+    # factor by factor: expand_product would pair the symbols into
+    # jtp_theta itself and compare the theta series with itself
+    f1, f2, f3 = (expand_factor(f, order) for f in jtp_product_spec(modulus, a).numerator)
+    return check_output(compare_series(jtp_theta(modulus, a, order), f1 * f2 * f3))
+
+
+def cmd_lambert_cancel(args) -> Output:
+    bag = TokenBag(args.tokens)
+    p = BilateralSpecialization(*field_values(bag, BilateralSpecialization))
+    s = bag.require_int("s")
+    order = resolve_order(bag, default=300)
+    bag.finish()
+    return check_output(cancellation_check(p, s, order))
+
+
+# -- command table and entry point --------------------------------------------------
+
+CAP = ("--cap", {"type": int, "default": ENUMERATION_CAP, "help": "enumeration size cap"})
+PARTITION_TOKENS = "modulus=M rep=R,... dist=D,... max=P n=N"
+SHIFTED_TOKENS = "m=M k=K s=S t=T n=N"
+GROUPS = {
+    "partitions": "count, enumerate, or check partition identities",
+    "identity": "check a series identity by double expansion",
+}
+
+# (command path, help, token help, the leaf's own flags); a leaf's handler is
+# cmd_<leaf name>, looked up whenever the parser is built
+COMMANDS = [
+    (("expand",), "expand a product to a coefficient listing",
+     "num=OFFS:MOD den=OFFS:MOD pre=SIGN:EXP order=N", ()),
+    (("verify",), "verify a vanishing theorem instance",
+     "family=ab k=K r=R | family=plus|minus|shifted m=M k=K s=S t=T | family=ag m=M k=K "
+     "s=S; sign=plus|minus with shifted or ag; order=N", ()),
+    (("scan",), "verify a whole family over parameter ranges",
+     "family=ab|plus|minus|ag k=LO..HI m=LO..HI order=N",
+     [("--jobs", {"type": int, "default": 1, "help": "parallel worker processes"})]),
+    (("partitions", "count"), "count restricted partitions of n", PARTITION_TOKENS, ()),
+    (("partitions", "enumerate"), "list restricted partitions of n", PARTITION_TOKENS, [CAP]),
+    (("partitions", "signed-sum"), "evaluate the signed partition sum", SHIFTED_TOKENS,
+     [("--show-terms", {"action": "store_true", "help": "print one row per term"})]),
+    (("partitions", "parity"), "split counts by the parity of the number of parts", SHIFTED_TOKENS,
+     [("--enumerate", {"action": "store_true", "help": "list the partitions behind the counts"}),
+      CAP]),
+    (("identity", "1psi1"), "the 1psi1 sum against its product", "m=M k=K t=T r=R order=N", ()),
+    (("identity", "jtp"), "the Jacobi triple product", "M=M a=A order=N", ()),
+    (("identity", "lambert-cancel"), "the Lambert-series cancellation",
+     "m=M k=K t=T r=R s=S order=N", ()),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,49 +472,20 @@ def build_parser() -> argparse.ArgumentParser:
             "Example: qvanish expand num=3,5:8 den=1,7:8 order=12"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, **extra_flags):
-        cmd = sub.add_parser(name, help=help_text)
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, tokens_help, flags in COMMANDS:
+        group, name = path[:-1], path[-1]
+        if group not in subparsers:
+            parent = subparsers[()].add_parser(group[0], help=GROUPS[group[0]])
+            subparsers[group] = parent.add_subparsers(dest="operation", required=True)
+        cmd = subparsers[group].add_parser(name, help=help_text)
         cmd.add_argument(
             "--format", choices=("text", "json", "csv"), default="text", help="output format"
         )
-        for flag, kwargs in extra_flags.items():
+        for flag, kwargs in flags:
             cmd.add_argument(flag, **kwargs)
-        cmd.set_defaults(func=func)
-        return cmd
-
-    expand = add("expand", cmd_expand, "expand a product to a coefficient listing")
-    expand.add_argument("tokens", nargs="*", help="num=OFFS:MOD den=OFFS:MOD pre=SIGN:EXP order=N")
-
-    verify = add("verify", cmd_verify, "verify a vanishing theorem instance")
-    verify.add_argument("tokens", nargs="*", help="family=ab|plus|minus|shifted|ag plus parameters")
-
-    scan_cmd = add(
-        "scan",
-        cmd_scan,
-        "verify a whole family over parameter ranges",
-        **{"--jobs": {"type": int, "default": 1, "help": "parallel worker processes"}},
-    )
-    scan_cmd.add_argument("tokens", nargs="*", help="family=... k=LO..HI m=LO..HI order=N")
-
-    parts = add(
-        "partitions",
-        cmd_partitions,
-        "count, enumerate, or check partition identities",
-        **{
-            "--show-terms": {"action": "store_true", "help": "print one row per signed-sum term"},
-            "--enumerate": {"action": "store_true", "help": "list the partitions behind a parity count"},
-            "--cap": {"type": int, "default": ENUMERATION_CAP, "help": "enumeration size cap"},
-        },
-    )
-    parts.add_argument("operation", choices=("count", "enumerate", "signed-sum", "parity"))
-    parts.add_argument("tokens", nargs="*", help="modulus=30 rep=0,1,29 dist=2 n=149 or m= k= s= t= n=")
-
-    ident = add("identity", cmd_identity, "check a series identity by double expansion")
-    ident.add_argument("which", choices=("1psi1", "jtp", "lambert-cancel"))
-    ident.add_argument("tokens", nargs="*", help="m= k= t= r= [s=] or M= a=, plus order=N")
-
+        cmd.add_argument("tokens", nargs="*", help=tokens_help)
+        cmd.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -537,11 +496,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidParams, TooLarge) as exc:
+        out = args.func(args)
+        if args.format == "json":
+            print(json.dumps(out.json, sort_keys=True))
+        elif args.format == "csv":
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(out.header)
+            writer.writerows(out.rows)
+        else:
+            sys.stdout.writelines(f"{line}\n" for line in out.text)
+        return out.code
+    except (UsageError, InvalidParams, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -25,11 +25,10 @@ Two combinatorial consequences of the vanishing theorems live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import NamedTuple
 
 from .errors import InvalidParams, TooLarge
-from .products import ProductSpec, expand_product, pochhammer
+from .products import ProductSpec, _theta_window, expand_product, pochhammer
 from .vanishing import ResidueClass, ShiftedQuotientParams, zero_class
 
 __all__ = [
@@ -224,32 +223,20 @@ def _count_spec(m: int, k: int, r: int) -> RestrictedPartitionSpec:
 def signed_sum_terms(m: int, k: int, s: int, t: int, n: int) -> list[SignedTerm]:
     """All terms of the signed sum with nonnegative argument, by ascending j.
 
-    The argument is quadratic in j with negative leading coefficient, so the
-    admissible j form one window, located from the integer square root of
-    the discriminant and then confirmed exactly per j.
+    The argument is target - E(j) for target = nk - rs and the theta exponent
+    E(j) = mk j(j+1)/2 - (r - tk) j, so the admissible j are the theta window
+    of E(j) <= target.
     """
     params = ShiftedQuotientParams(m, k, s, t)  # validates ranges and gcd
-    r, mk, tk = params.r, m * k, t * k
+    r, mk = params.r, m * k
     target = n * k - r * s
-    # nonnegativity of the argument: mk j^2 + (mk + 2(tk-r)) j - 2 target <= 0
-    b = mk + 2 * (tk - r)
-    disc = b * b + 8 * mk * target
-    if disc < 0:
-        return []
-    root = isqrt(disc)
-    lo = (-b - root) // (2 * mk) - 1
-    hi = (-b + root) // (2 * mk) + 1
-    arguments = {}
-    for j in range(lo, hi + 1):
-        a = target - mk * j * (j + 1) // 2 - j * (tk - r)
-        if a >= 0:
-            arguments[j] = a
+    arguments = {j: target - e for j, e in _theta_window(mk, r - t * k, target + 1)}
     if not arguments:
         return []
     table = count_restricted_table(_count_spec(m, k, r), max(arguments.values()))
     return [
         SignedTerm(j, a, table[a], table[a] if j % 2 == 0 else -table[a])
-        for j, a in sorted(arguments.items())
+        for j, a in arguments.items()
     ]
 
 

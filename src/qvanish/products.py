@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import count
 from math import gcd, isqrt
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import Degenerate, InvalidParams
 from .series import LaurentSeries
@@ -185,24 +185,29 @@ def _linear_passes(coeffs: list[int], numerator, denominator, stop: int) -> None
 # -- Jacobi triple product ---------------------------------------------------
 
 
+def _theta_window(M: int, a: int, order: int) -> Iterator[tuple[int, int]]:
+    """(j, E(j)) for every j with E(j) = M*j*(j+1)/2 - a*j below order, by ascending j."""
+    # E(j) < order between the roots of M*j^2 + (M - 2a)*j - 2*order = 0;
+    # scan that j-range with exact checks.
+    b = M - 2 * a
+    disc = b * b + 8 * M * order
+    if disc < 0:
+        return
+    root = isqrt(disc)
+    for j in range((-b - root) // (2 * M) - 1, (-b + root) // (2 * M) + 2):
+        e = M * j * (j + 1) // 2 - a * j
+        if e < order:
+            yield j, e
+
+
 def _theta_terms(M: int, a: int, order: int, z: int = -1) -> dict[int, int]:
     """Exponent -> coefficient of sum_{j in Z} z^j q^{M*j*(j+1)/2 - a*j} below order.
 
     Every exponent some j reaches is a key, also where the terms cancel to 0.
     """
-    # Exponent E(j) = M*j(j+1)/2 - a*j is below `order` between the roots of
-    # M*j^2 + (M - 2a)*j - 2*order = 0; scan that j-range with exact checks.
-    b = M - 2 * a
-    disc = b * b + 8 * M * order
     terms: dict[int, int] = {}
-    if disc >= 0:
-        root = isqrt(disc)
-        lo = (-b - root) // (2 * M) - 1
-        hi = (-b + root) // (2 * M) + 1
-        for j in range(lo, hi + 1):
-            e = M * j * (j + 1) // 2 - a * j
-            if e < order:
-                terms[e] = terms.get(e, 0) + (1 if z == 1 or j % 2 == 0 else -1)
+    for j, e in _theta_window(M, a, order):
+        terms[e] = terms.get(e, 0) + (1 if z == 1 or j % 2 == 0 else -1)
     return terms
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -165,6 +166,16 @@ def test_verify_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["family", "r", "order", "zero_mod", "zero_res", "verified", "violations"]
     assert rows[1] == ["ab", "3", "200", "4", "3", "True", "0"]
+
+
+def test_verify_refuses_an_empty_sign(capsys):
+    # an empty sign= is a sign, not an absent token: it must not read as plus
+    for argv in (
+        ("verify", "family=shifted", "m=2", "k=9", "s=2", "t=1", "sign=", "order=100"),
+        ("verify", "family=ag", "m=2", "k=5", "s=3", "sign=", "order=100"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: sign must be 'plus' or 'minus', got ''\n"), argv
 
 
 def test_scan_summary_and_exit(capsys):
@@ -351,6 +362,33 @@ def test_partitions_parity_json_off_class(capsys):
     assert payload["n"] == 148
 
 
+COUNT = ("partitions", "count", "modulus=30", "rep=0,1,29", "n=20")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param((*COUNT, "--show-terms"), id="count --show-terms"),
+        pytest.param((*COUNT, "--enumerate"), id="count --enumerate"),
+        pytest.param((*COUNT, "--cap", "5"), id="count --cap"),
+        pytest.param(
+            ("partitions", "signed-sum", "m=2", "k=15", "s=0", "t=1", "n=20", "--cap", "3"),
+            id="signed-sum --cap",
+        ),
+        pytest.param(
+            ("partitions", "parity", "m=2", "k=15", "s=8", "t=1", "n=149", "--show-terms"),
+            id="parity --show-terms",
+        ),
+        pytest.param(("partitions", "--format", "json", *COUNT[1:]), id="--format before count"),
+    ],
+)
+def test_partitions_refuse_another_operations_flags(capsys, argv):
+    # each operation takes only its own flags, and flags follow the operation
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
 def test_partitions_usage_errors(capsys):
     code, _, err = run(capsys, "partitions", "count", "modulus=30", "rep=0,1,29")
     assert code == 2 and "n=" in err
@@ -442,3 +480,32 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "expand" in out and "num=3,5:8" in out
+
+
+# Each leaf command's own flags, besides --help and --format.
+LEAF_FLAGS = {
+    ("expand",): set(),
+    ("verify",): set(),
+    ("scan",): {"--jobs"},
+    ("partitions", "count"): set(),
+    ("partitions", "enumerate"): {"--cap"},
+    ("partitions", "signed-sum"): {"--show-terms"},
+    ("partitions", "parity"): {"--enumerate", "--cap"},
+    ("identity", "1psi1"): set(),
+    ("identity", "jtp"): set(),
+    ("identity", "lambert-cancel"): set(),
+}
+
+
+def test_leaf_flags_cover_the_command_table():
+    assert {path for path, *_ in qvanish.cli.COMMANDS} == set(LEAF_FLAGS)
+
+
+@pytest.mark.parametrize("leaf", LEAF_FLAGS, ids=" ".join)
+def test_leaf_help_lists_its_own_flags(capsys, leaf):
+    code, out, _ = run(capsys, *leaf, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: qvanish {' '.join(leaf)} ")
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == {"--help", "--format", *LEAF_FLAGS[leaf]}
+    if leaf[0] == "partitions" and leaf[1] in ("count", "enumerate"):
+        assert "max=P" in out
