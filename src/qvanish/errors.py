@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["QvanishError", "NotAUnit", "OutOfRange", "InvalidParams", "Degenerate", "TooLarge"]
+
 
 class QvanishError(Exception):
     """Base class for all package-specific errors."""

@@ -297,13 +297,11 @@ def verify_parity_identity(m: int, k: int, s: int, t: int, n_max: int) -> Parity
     params = ShiftedQuotientParams(m, k, s, t, "minus")
     cls = zero_class(params)
     spec = parity_spec(m, k, s, t)
-    total = _expand(spec, n_max, 1)
     signed = _expand(spec, n_max, -1)  # sum (even - odd) q^n
-    violations = tuple(
-        (e, *_parity_pair(total[e], signed[e]))
-        for e in range(cls.residue, n_max + 1, k)
-        if signed[e]
-    )
+    failing = [e for e in range(cls.residue, n_max + 1, k) if signed[e]]
+    # the total count only splits a violation into (even, odd)
+    total = _expand(spec, n_max, 1) if failing else []
+    violations = tuple((e, *_parity_pair(total[e], signed[e])) for e in failing)
     return ParityIdentityReport(
         params={"m": m, "k": k, "s": s, "t": t},
         residue_class=cls,

@@ -411,31 +411,37 @@ def lambert_series(p: BilateralSpecialization, order: int) -> LaurentSeries:
     return LaurentSeries(0, c, order)
 
 
+def _shifted_pair(mk: int, tk: int, r: int) -> tuple[int, int]:
+    """(c, a) that write the pair (q^{r-tk}, q^{mk-(r-tk)}; q^{mk}) with positive offsets.
+
+    For r > tk the pair is (q^a, q^{mk-a}; q^{mk}) with a = r - tk, and c = 0.
+    For r < tk it is rewritten through
+        (q^{-c}, q^{mk+c}; q^{mk}) = -q^{-c} (q^{mk-c}, q^c; q^{mk}),  c = tk - r,
+    so a = mk - c.  Both cases need |r - tk| < mk.  r = tk leaves a factor
+    (q^0; q^{mk}) = 0.
+    """
+    if r == tk:
+        raise Degenerate(f"r = tk = {r}: the quotient carries a factor (q^0; q^{mk}) = 0")
+    c = max(tk - r, 0)
+    return c, (r - tk) % mk
+
+
 def bilateral_product_spec(p: BilateralSpecialization) -> ProductSpec:
     """Closed product form of -q^{-tk} times the bilateral sum for p.
 
     The quotient is
         (q^{mk}, q^{mk}; q^{mk}) (q^{r-tk}, q^{mk-(r-tk)}; q^{mk})
         / [(q^{tk}, q^{mk-tk}; q^{mk}) (q^{r}, q^{mk-r}; q^{mk})].
-    When r < tk the pair with negative offset r-tk is rewritten through
-        (q^{-c}, q^{mk+c}; q^{mk}) = -q^{-c} (q^{c}, q^{mk-c}; q^{mk}),  c = tk-r,
-    so the spec only ever holds positive offsets.
+    When r < tk the pair with negative offset r-tk is rewritten by _shifted_pair
+    and written (q^{c}, q^{mk-c}; q^{mk}), c = tk-r, so the spec only ever
+    holds positive offsets.
     """
     m, k, t, r = p.m, p.k, p.t, p.r
     mk, tk = m * k, t * k
-    if r == tk:
-        raise Degenerate(
-            f"r = tk = {r}: the closed form carries a factor (q^0; q^{mk}) = 0"
-        )
-    sign, pre = 1, 0
-    if r > tk:
-        shifted = (r - tk, mk - (r - tk))
-    else:
-        sign, pre = -1, r - tk
-        shifted = (tk - r, mk - (tk - r))
-    num = pochhammer((mk, mk) + shifted, mk)
+    c, a = _shifted_pair(mk, tk, r)
+    num = pochhammer((mk, mk) + ((c, a) if c else (a, mk - a)), mk)
     den = pochhammer((tk, mk - tk, r, mk - r), mk)
-    return ProductSpec(sign, pre, num, den)
+    return ProductSpec(-1 if c else 1, -c, num, den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -503,7 +509,4 @@ def cancellation_check(p: BilateralSpecialization, s: int, order: int) -> Identi
     neg = [0] * order
     _add_geometric(pos, ((r * big, big * mk - tk) for big in count(k - s, k)), 1)
     _add_geometric(neg, ((big * (mk - r) + tk, big * mk + tk) for big in count(s, k)), 1)
-    for e, (a, b) in enumerate(zip(pos, neg)):
-        if a != b:
-            return IdentityCheck(False, e, a, b)
-    return IdentityCheck(True)
+    return compare_series(LaurentSeries(0, pos), LaurentSeries(0, neg))

@@ -21,8 +21,9 @@ maps each scan family name to its class.
 
 When r - tk < 0 the shifted quotient is normalized through
     (q^{-c}, q^{mk+c}; q^{mk}) = -q^{-c} (q^{mk-c}, q^c; q^{mk}),  c = tk - r,
-so built specs only ever carry positive offsets, with the sign and shift
-recorded in the prefactor.  Verification and reported zero classes follow
+(products._shifted_pair, shared with the 1psi1 closed form), so built
+specs only ever carry positive offsets, with the sign and shift recorded in
+the prefactor.  Verification and reported zero classes follow
 the normalized (prefactor-stripped) expansion, whose exponents start at 0;
 the normalization shifts the vanishing class from -rs to tk - r - rs mod k.
 
@@ -40,8 +41,8 @@ from dataclasses import asdict, dataclass
 from math import gcd
 from typing import Iterable, Iterator, Union
 
-from .errors import Degenerate, InvalidParams
-from .products import ProductSpec, expand_product, pochhammer
+from .errors import InvalidParams
+from .products import ProductSpec, _shifted_pair, expand_product, pochhammer
 
 __all__ = [
     "AndrewsBressoudParams",
@@ -49,6 +50,7 @@ __all__ = [
     "AlladiGordonParams",
     "TheoremParams",
     "FAMILIES",
+    "OBSERVED_CLASS_MIN_SAMPLES",
     "ResidueClass",
     "VanishingReport",
     "ScanResult",
@@ -153,27 +155,16 @@ class ShiftedQuotientParams:
     def family(self) -> str:
         return self.sign
 
-    def _normalization(self) -> tuple[int, int]:
-        """(c, a): the prefactor -q^{-c} of the rewrite (c = 0 when r > tk)
-        and the numerator offset a of (q^a, q^{mk-a}; q^{mk})."""
-        c = self.t * self.k - self.r
-        if c == 0:
-            # Unreachable for validated params: r = tk forces k | r, against gcd(r,k)=1.
-            raise Degenerate(f"r = tk = {self.r}: the quotient is identically zero")
-        if c < 0:
-            return 0, -c
-        return c, self.m * self.k - c
-
     def spec(self) -> ProductSpec:
         mk, r = self.m * self.k, self.r
-        c, a = self._normalization()
+        c, a = _shifted_pair(mk, self.t * self.k, r)
         den = pochhammer((r, mk - r), mk, 1 if self.sign == "plus" else -1)
         return ProductSpec(-1 if c else 1, -c, pochhammer((a, mk - a), mk), den)
 
     def zero_class(self) -> ResidueClass:
         # the -q^{-c} prefactor moves class -rs of the raw quotient to c - rs
         # on the normalized product
-        c, _ = self._normalization()
+        c, _ = _shifted_pair(self.m * self.k, self.t * self.k, self.r)
         return ResidueClass(self.k, c - self.r * self.s)
 
     def as_dict(self) -> dict:
@@ -338,21 +329,13 @@ def verify_vanishing(params: TheoremParams, order: int) -> VanishingReport:
     cls = zero_class(params)
     normalized = ProductSpec(1, 0, spec.numerator, spec.denominator)
     series = expand_product(normalized, order)
-    k = cls.modulus
-    violations = []
-    nonzero_seen = [0] * k
-    samples = [0] * k
-    for e, c in series.items():
-        res = e % k
-        samples[res] += 1
-        if c:
-            nonzero_seen[res] = 1
-            if res == cls.residue:
-                violations.append((e, c))
+    # the normalized expansion starts at q^0, so coeffs[e] is the coefficient of q^e
+    coeffs, k = series.coeffs, cls.modulus
+    violations = [(e, coeffs[e]) for e in range(cls.residue, order, k) if coeffs[e]]
     observed = tuple(
         ResidueClass(k, res)
         for res in range(k)
-        if not nonzero_seen[res] and samples[res] >= OBSERVED_CLASS_MIN_SAMPLES
+        if len(coeffs[res::k]) >= OBSERVED_CLASS_MIN_SAMPLES and not any(coeffs[res::k])
     )
     return VanishingReport(
         family=params.family,

@@ -10,9 +10,10 @@ import re
 import pytest
 
 import qvanish.cli
+import qvanish.vanishing
 from qvanish.cli import main
 from qvanish.partitions import RestrictedPartitionSpec, count_restricted
-from qvanish.vanishing import ShiftedQuotientParams, verify_vanishing
+from qvanish.vanishing import ResidueClass, ShiftedQuotientParams, verify_vanishing, zero_class
 
 
 def run(capsys, *argv):
@@ -212,6 +213,20 @@ def test_scan_json_deterministic_and_parallel_identical(capsys):
     assert first == second
     code, parallel, _ = run(capsys, *argv, "--jobs=2")
     assert parallel == first
+
+
+def test_scan_exits_1_on_a_violation(capsys, monkeypatch):
+    def wrong_class(params):
+        cls = zero_class(params)
+        return ResidueClass(cls.modulus, cls.residue + 1)
+
+    monkeypatch.setattr(qvanish.vanishing, "zero_class", wrong_class)
+    code, out, _ = run(capsys, "scan", "family=ab", "k=6", "order=60")
+    assert code == 1
+    assert "VIOLATED" in out
+    code, out, _ = run(capsys, "scan", "family=ab", "k=6", "order=60", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["violated"] > 0
 
 
 def test_scan_rejects_jobs_below_one(capsys):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import qvanish.partitions
 from qvanish.errors import InvalidParams, TooLarge
 from qvanish.partitions import (
     Partition,
@@ -22,7 +23,7 @@ from qvanish.partitions import (
     verify_parity_identity,
 )
 from qvanish.products import ProductSpec, pochhammer
-from qvanish.vanishing import ShiftedQuotientParams, build_spec
+from qvanish.vanishing import ResidueClass, ShiftedQuotientParams, build_spec, zero_class
 
 
 def all_parts(modulus=1):
@@ -343,6 +344,35 @@ def test_verify_parity_identity():
     report = verify_parity_identity(3, 3, 0, 2, 300)
     assert report.ok
     assert report.residue_class.residue == (-2 * 1) % 3
+
+
+def test_parity_identity_reports_violations_off_its_class(monkeypatch):
+    def shifted_class(params):
+        cls = zero_class(params)
+        return ResidueClass(cls.modulus, cls.residue + 1)
+
+    monkeypatch.setattr(qvanish.partitions, "zero_class", shifted_class)
+    report = verify_parity_identity(2, 15, 8, 1, 200)
+    assert not report
+    assert report.residue_class == ResidueClass(15, 0)
+    assert report.violations
+    spec = parity_spec(2, 15, 8, 1)
+    for n, even, odd in report.violations:
+        assert n % 15 == 0
+        assert (even, odd) == count_restricted_by_parity(spec, n), n
+
+
+def test_parity_identity_expands_the_total_only_for_violations(monkeypatch):
+    signs = []
+    expand = qvanish.partitions._expand
+
+    def recording(spec, n_max, sign):
+        signs.append(sign)
+        return expand(spec, n_max, sign)
+
+    monkeypatch.setattr(qvanish.partitions, "_expand", recording)
+    assert verify_parity_identity(2, 15, 8, 1, 200)
+    assert signs == [-1]
 
 
 def test_parity_identity_not_vacuous():
