@@ -1,23 +1,22 @@
-"""Theorem families asserting vanishing coefficient classes, plus verification.
+"""One vanishing-coefficient theorem, its two classical embeddings, and verification.
 
-Three parameter classes cover the four family names ``ab``, ``plus``,
-``minus`` and ``ag``; each quotient comes with a predicted arithmetic
-progression of exponents whose coefficients all vanish:
+The theorem (``ShiftedQuotientParams``, families ``plus`` and ``minus``): for
+m, k > 1, 0 <= s < k, 1 <= t < m and r = sm + t coprime to k, the quotient
+(q^{r-tk}, q^{mk-(r-tk)}; q^{mk}) / (q^r, q^{mk-r}; q^{mk}) has zero
+coefficients on kn - rs; ``minus`` negates the denominator arguments and
+needs odd k.  It is the one class that builds a quotient or a zero class.
+The other two families are parameterizations of it, through ``shifted()``:
 
-* ``AndrewsBressoudParams``: (q^r, q^{2k-r}; q^{2k}) / (q^{k-r}, q^{k+r}; q^{2k}),
-  zero class kn + r(k-r+1)/2, for coprime r < k of opposite parity.
-* ``ShiftedQuotientParams``: (q^{r-tk}, q^{mk-(r-tk)}; q^{mk}) over
-  (q^r, q^{mk-r}; q^{mk}) with r = sm + t, where the numerator offsets are
-  the denominator's shifted by tk.  The ``minus`` variant negates the
-  denominator arguments and needs odd k.  Zero class kn - rs.
-* ``AlladiGordonParams``: (q^r, q^{mk-r}; q^{mk}) / (q^s, q^{mk-s}; q^{mk})
-  for m < k, with r, r' derived from s; zero class n = rr' mod k.  The
-  ``minus`` variant negates the denominator arguments and needs odd k.
+* ``AndrewsBressoudParams`` (k, r), coprime of opposite parity, is the tuple
+  (2, k, (k-r-1)/2, 1): (q^r, q^{2k-r}; q^{2k}) / (q^{k-r}, q^{k+r}; q^{2k})
+  with the classical zero class kn + r(k-r+1)/2.
+* ``AlladiGordonParams`` (m, k, s), m < k, gcd(s, mk) = 1, is the tuple
+  (m, k, s // m, s % m): (q^r, q^{mk-r}; q^{mk}) / (q^s, q^{mk-s}; q^{mk})
+  with r = (k-1)s mod mk and the classical class rr' mod k, r' = ceil((k-1)s/mk).
 
-Each class is the one home of its family's rules: validation, ``spec()``
-(the quotient), ``zero_class()``, ``as_dict()`` (the reported parameters, in
-field order) and the ``grid()`` of candidates a scan visits.  ``FAMILIES``
-maps each scan family name to its class.
+Each class keeps its family's validation, ``r``, ``as_dict()`` (the reported
+parameters, in field order) and ``grid()`` of candidates a scan visits.
+``FAMILIES`` maps each scan family name to its class.
 
 When r - tk < 0 the shifted quotient is normalized through
     (q^{-c}, q^{mk+c}; q^{mk}) = -q^{-c} (q^{mk-c}, q^c; q^{mk}),  c = tk - r,
@@ -25,7 +24,9 @@ When r - tk < 0 the shifted quotient is normalized through
 specs only ever carry positive offsets, with the sign and shift recorded in
 the prefactor.  Verification and reported zero classes follow
 the normalized (prefactor-stripped) expansion, whose exponents start at 0;
-the normalization shifts the vanishing class from -rs to tk - r - rs mod k.
+the normalization shifts the vanishing class from -rs to c - rs mod k.
+The embedded families' ``spec()`` drops that prefactor, as their classical
+quotients carry none; the numerator pair keeps the shifted order.
 
 Every family quotient is one pair (x q^a, x q^{M-a}; q^M) over another, so
 products.expand_product divides it out by the triple product: each pair is
@@ -81,46 +82,6 @@ class ResidueClass:
 
     def __str__(self) -> str:
         return f"{self.modulus}n+{self.residue}" if self.residue else f"{self.modulus}n"
-
-
-@dataclass(frozen=True, slots=True)
-class AndrewsBressoudParams:
-    """(k, r) coprime of opposite parity, 1 <= r < k."""
-
-    k: int
-    r: int
-    family = "ab"
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise InvalidParams(f"k must be >= 2, got {self.k}")
-        if not 1 <= self.r < self.k:
-            raise InvalidParams(f"need 1 <= r < k, got r={self.r}, k={self.k}")
-        if gcd(self.r, self.k) != 1:
-            raise InvalidParams(f"gcd(r, k) != 1 for r={self.r}, k={self.k}")
-        if self.r % 2 == self.k % 2:
-            raise InvalidParams(f"r and k must have opposite parity, got r={self.r}, k={self.k}")
-
-    def spec(self) -> ProductSpec:
-        k, r = self.k, self.r
-        return ProductSpec(
-            1, 0, pochhammer((r, 2 * k - r), 2 * k), pochhammer((k - r, k + r), 2 * k)
-        )
-
-    def zero_class(self) -> ResidueClass:
-        # r(k-r+1) is even: opposite parity makes k-r+1 even when r is odd,
-        # and r even covers the rest.
-        return ResidueClass(self.k, (self.r * (self.k - self.r + 1)) // 2)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def grid(cls, ks: list[int], ms: list[int], family: str) -> Iterator[dict]:
-        """Candidate (k, r) dicts in lexicographic order; ms plays no part."""
-        for k in ks:
-            for r in range(1, k):
-                yield {"k": k, "r": r}
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,8 +141,55 @@ class ShiftedQuotientParams:
                         yield {"m": m, "k": k, "s": s, "t": t, "sign": family}
 
 
+class _Embedded:
+    """spec() and zero_class() of a family that is a shifted tuple in other terms."""
+
+    __slots__ = ()
+
+    def spec(self) -> ProductSpec:
+        # the classical quotient has no prefactor: drop the -q^{-c} of the rewrite
+        spec = self.shifted().spec()
+        return ProductSpec(1, 0, spec.numerator, spec.denominator)
+
+    def zero_class(self) -> ResidueClass:
+        return self.shifted().zero_class()
+
+
 @dataclass(frozen=True, slots=True)
-class AlladiGordonParams:
+class AndrewsBressoudParams(_Embedded):
+    """(k, r) coprime of opposite parity, 1 <= r < k."""
+
+    k: int
+    r: int
+    family = "ab"
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise InvalidParams(f"k must be >= 2, got {self.k}")
+        if not 1 <= self.r < self.k:
+            raise InvalidParams(f"need 1 <= r < k, got r={self.r}, k={self.k}")
+        if gcd(self.r, self.k) != 1:
+            raise InvalidParams(f"gcd(r, k) != 1 for r={self.r}, k={self.k}")
+        if self.r % 2 == self.k % 2:
+            raise InvalidParams(f"r and k must have opposite parity, got r={self.r}, k={self.k}")
+
+    def shifted(self) -> ShiftedQuotientParams:
+        # its r = 2s + 1 is k - r, odd since r and k have opposite parity
+        return ShiftedQuotientParams(2, self.k, (self.k - self.r - 1) // 2, 1)
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def grid(cls, ks: list[int], ms: list[int], family: str) -> Iterator[dict]:
+        """Candidate (k, r) dicts in lexicographic order; ms plays no part."""
+        for k in ks:
+            for r in range(1, k):
+                yield {"k": k, "r": r}
+
+
+@dataclass(frozen=True, slots=True)
+class AlladiGordonParams(_Embedded):
     """(m, k, s) with 1 < m < k, gcd(s, km) = 1; r, r' derived, never stored."""
 
     m: int
@@ -201,7 +209,6 @@ class AlladiGordonParams:
             raise InvalidParams(f"sign must be 'plus' or 'minus', got {self.sign!r}")
         if self.sign == "minus" and self.k % 2 == 0:
             raise InvalidParams(f"the minus variant requires odd k, got k={self.k}")
-        self.r_prime  # force the range guard
 
     @property
     def r_star(self) -> int:
@@ -214,25 +221,12 @@ class AlladiGordonParams:
 
     @property
     def r_prime(self) -> int:
-        # ceil(r*/mk) lies in [1, k-1] already: k-1 <= r* <= (k-1)(mk-1), so the
-        # mod-k reduction cannot produce 0; the guard stays per contract.
-        mk = self.m * self.k
-        rp = -(-self.r_star // mk) % self.k
-        if not 1 <= rp < self.k:
-            raise InvalidParams(
-                f"derived r' = {rp} falls outside [1, k) for (m,k,s)=({self.m},{self.k},{self.s})"
-            )
-        return rp
+        # ceil(r*/mk), already in [1, k-1] since k-1 <= r* <= (k-1)(mk-1)
+        return -(-self.r_star // (self.m * self.k))
 
-    def spec(self) -> ProductSpec:
-        mk, r, s = self.m * self.k, self.r, self.s
-        den_sign = 1 if self.sign == "plus" else -1
-        return ProductSpec(
-            1, 0, pochhammer((r, mk - r), mk), pochhammer((s, mk - s), mk, den_sign)
-        )
-
-    def zero_class(self) -> ResidueClass:
-        return ResidueClass(self.k, self.r * self.r_prime)
+    def shifted(self) -> ShiftedQuotientParams:
+        # its r = sm + t is s; gcd(s, m) = 1 keeps t = s % m >= 1
+        return ShiftedQuotientParams(self.m, self.k, self.s // self.m, self.s % self.m, self.sign)
 
     def as_dict(self) -> dict:
         return {**asdict(self), "r_star": self.r_star, "r_prime": self.r_prime}
@@ -394,7 +388,7 @@ def scan(
     family = family.lower()
     cls = FAMILIES.get(family)
     if cls is None:
-        raise InvalidParams(f"unknown family {family!r}; expected ab, plus, minus, or ag")
+        raise InvalidParams(f"unknown family {family!r} (expected {', '.join(FAMILIES)})")
     valid: list[TheoremParams] = []
     skipped: list[tuple[dict, str]] = []
     for candidate in cls.grid(sorted(set(k_range)), sorted(set(m_range)), family):

@@ -111,10 +111,10 @@ def test_build_spec_shifted_with_positive_offset():
 
 
 def test_build_spec_ab():
+    # (q^3, q^5; q^8) / (q, q^7; q^8), numerator in the embedded shifted
+    # tuple's order and without its -q^{-3} prefactor
     spec = build_spec(AndrewsBressoudParams(4, 3))
-    assert [f.offset for f in spec.numerator] == [3, 5]
-    assert [f.offset for f in spec.denominator] == [1, 7]
-    assert all(f.modulus == 8 and f.arg_sign == 1 for f in spec.denominator)
+    assert spec == ProductSpec(1, 0, pochhammer((5, 3), 8), pochhammer((1, 7), 8))
 
 
 def test_build_spec_minus_negates_denominator():
@@ -124,11 +124,11 @@ def test_build_spec_minus_negates_denominator():
 
 
 def test_build_spec_ag():
+    # numerator pair in the embedded shifted tuple's order, no prefactor
     spec = build_spec(AlladiGordonParams(5, 6, 1))
-    assert [f.offset for f in spec.numerator] == [5, 25]
-    assert [f.offset for f in spec.denominator] == [1, 29]
+    assert spec == ProductSpec(1, 0, pochhammer((25, 5), 30), pochhammer((1, 29), 30))
     spec = build_spec(AlladiGordonParams(2, 5, 1, "minus"))
-    assert all(f.arg_sign == -1 for f in spec.denominator)
+    assert spec == ProductSpec(1, 0, pochhammer((6, 4), 10), pochhammer((1, 9), 10, -1))
 
 
 # -- zero_class ----------------------------------------------------------------
@@ -229,6 +229,21 @@ def test_remark_rewrite_as_raw_laurent_identity():
         ).monomial_mul(-1, -c)
 
 
+def _valid_tuples(family, k_range, m_range):
+    cls = FAMILIES[family]
+    for candidate in cls.grid(list(k_range), list(m_range), family):
+        try:
+            yield cls(**candidate)
+        except InvalidParams:
+            continue
+
+
+def _claim(spec, cls):
+    """(numerator, denominator, class) of the normalized quotient, factor order forgotten."""
+    factors = lambda fs: sorted((f.arg_sign, f.offset, f.modulus) for f in fs)
+    return factors(spec.numerator), factors(spec.denominator), cls
+
+
 def test_ag_and_shifted_classes_coincide_on_shared_products():
     # the three modulus-30 products covered by both families
     pairs = [
@@ -237,14 +252,52 @@ def test_ag_and_shifted_classes_coincide_on_shared_products():
         (AlladiGordonParams(2, 15, 1), ShiftedQuotientParams(2, 15, 0, 1)),
     ]
     for ag, sh in pairs:
-        spec_ag = build_spec(ag)
-        spec_sh = build_spec(sh)
-        key = lambda spec: (
-            sorted(f.offset for f in spec.numerator),
-            sorted(f.offset for f in spec.denominator),
+        assert _claim(build_spec(ag), zero_class(ag)) == _claim(build_spec(sh), zero_class(sh))
+
+    # Andrews-Bressoud: its classical quotient and class kn + r(k-r+1)/2
+    checked = 0
+    for p in _valid_tuples("ab", range(2, 30), ()):
+        k, r = p.k, p.r
+        spec = build_spec(p)
+        assert (spec.prefactor_sign, spec.prefactor_exponent) == (1, 0)
+        classical = ProductSpec(
+            1, 0, pochhammer((r, 2 * k - r), 2 * k), pochhammer((k - r, k + r), 2 * k)
         )
-        assert key(spec_ag) == key(spec_sh)
-        assert zero_class(ag) == zero_class(sh)
+        oracle = ResidueClass(k, r * (k - r + 1) // 2)
+        assert _claim(spec, zero_class(p)) == _claim(classical, oracle), p
+        checked += 1
+    assert checked == 178
+
+    # Alladi-Gordon: its classical quotient and class r r' mod k, with
+    # r = (k-1)s mod mk and r' = ceil((k-1)s / mk)
+    checked = 0
+    for p in _valid_tuples("ag", range(2, 14), range(2, 9)):
+        k, s, mk = p.k, p.s, p.m * p.k
+        r, r_prime = (k - 1) * s % mk, -(-(k - 1) * s // mk)
+        assert (p.r, p.r_prime) == (r, r_prime) and 1 <= r_prime < k, p
+        spec = build_spec(p)
+        assert (spec.prefactor_sign, spec.prefactor_exponent) == (1, 0)
+        den_sign = 1 if p.sign == "plus" else -1
+        classical = ProductSpec(
+            1, 0, pochhammer((r, mk - r), mk), pochhammer((s, mk - s), mk, den_sign)
+        )
+        oracle = ResidueClass(k, r * r_prime)
+        assert _claim(spec, zero_class(p)) == _claim(classical, oracle), p
+        checked += 1
+    assert checked == 1754
+
+    # the shifted tuple with mk - r in place of r, (s, t) -> (k-1-s, m-t),
+    # makes the same claim
+    checked = 0
+    for family in ("plus", "minus"):
+        for p in _valid_tuples(family, range(2, 9), range(2, 9)):
+            twin = ShiftedQuotientParams(p.m, p.k, p.k - 1 - p.s, p.m - p.t, p.sign)
+            assert twin.r == p.m * p.k - p.r
+            assert _claim(build_spec(p), zero_class(p)) == _claim(
+                build_spec(twin), zero_class(twin)
+            ), p
+            checked += 1
+    assert checked == 990
 
 
 def test_paired_expansion_equals_linear_on_every_grid_tuple(linear_expand):
@@ -254,15 +307,10 @@ def test_paired_expansion_equals_linear_on_every_grid_tuple(linear_expand):
     grids += [(family, range(2, 9), range(2, 9)) for family in ("plus", "minus", "ag")]
     checked = 0
     for family, k_range, m_range in grids:
-        cls = FAMILIES[family]
-        for candidate in cls.grid(list(k_range), list(m_range), family):
-            try:
-                params = cls(**candidate)
-            except InvalidParams:
-                continue
+        for params in _valid_tuples(family, k_range, m_range):
             spec = build_spec(params)
             normalized = ProductSpec(1, 0, spec.numerator, spec.denominator)
-            assert expand_product(normalized, 300) == linear_expand(normalized, 300), candidate
+            assert expand_product(normalized, 300) == linear_expand(normalized, 300), params
             checked += 1
     assert checked == 31 + 1288  # ab; then plus, minus and ag together
 
@@ -272,6 +320,8 @@ def test_value_types_are_frozen_slotted_and_picklable():
     report = verify_vanishing(params, 120)
     values = [
         (params, "m"),
+        (AndrewsBressoudParams(4, 3), "k"),
+        (AlladiGordonParams(2, 5, 3, "minus"), "s"),
         (report.spec, "prefactor_exponent"),
         (report, "order"),
         (RestrictedPartitionSpec(30, {0, 1}, {7}, 40), "modulus"),
@@ -382,7 +432,7 @@ def test_scan_empty_grid():
 
 
 def test_scan_unknown_family():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"'octic' \(expected ab, plus, minus, ag\)"):
         scan(range(2, 4), range(2, 4), 100, "octic")
 
 
