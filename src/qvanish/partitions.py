@@ -6,8 +6,9 @@ or distinct (each part value at most once).  Counts are the coefficients of
 the generating product, expanded exactly: a repeatable residue res gives
 1/(q^res; q^M) (residue 0: 1/(q^M; q^M)) and a distinct residue d gives
 (-q^d; q^M), through products.expand_product: residues that pair as +-a
-are divided out by the Jacobi triple product, and a part cap below n keeps
-the plain linear passes.  Flipping every argument sign weights each part by
+are divided out by the Jacobi triple product.  A part cap P leaves N =
+(P - a) // M + 1 parts of a symbol, the finite quotient (x q^a; q^M)_inf /
+(x q^{a+NM}; q^M)_inf.  Flipping every argument sign weights each part by
 -1, which gives sum (even - odd) q^n and so the split by the parity of the
 number of parts.
 
@@ -24,7 +25,7 @@ Two combinatorial consequences of the vanishing theorems live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import InvalidParams, TooLarge
@@ -172,14 +173,18 @@ def _expand(spec: RestrictedPartitionSpec, n_max: int, sign: int) -> list[int]:
     """Coefficients up to q^n_max of the generating product, each part weighted by sign."""
     if n_max < 0:
         raise InvalidParams(f"n_max must be >= 0, got {n_max}")
-    M = spec.modulus
-    product = ProductSpec(
-        1,
-        0,
-        pochhammer(sorted(spec.distinct_residues), M, -sign),
-        pochhammer(sorted(res or M for res in spec.repeatable_residues), M, sign),
-    )
-    return list(expand_product(product, n_max + 1, spec.max_part).coeffs)
+    M, P = spec.modulus, spec.max_part
+    num = pochhammer(sorted(spec.distinct_residues), M, -sign)
+    den = pochhammer(sorted(res or M for res in spec.repeatable_residues), M, sign)
+    if P is not None:
+        # the parts a, a + M, ... <= P of (x q^a; q^M) make (x q^a; q^M)_N with
+        # N = (P - a) // M + 1, and its tail (x q^{a+NM}; q^M) joins the other side
+        def tail(f):
+            return replace(f, offset=f.offset + ((P - f.offset) // M + 1) * M)
+
+        num, den = ([f for f in fs if f.offset <= P] for fs in (num, den))
+        num, den = num + [tail(f) for f in den], den + [tail(f) for f in num]
+    return list(expand_product(ProductSpec(1, 0, num, den), n_max + 1).coeffs)
 
 
 def count_restricted_table(spec: RestrictedPartitionSpec, n_max: int) -> list[int]:

@@ -4,11 +4,12 @@ The objects here are quotients of q-Pochhammer symbols
 
     (x; q^M)_inf = prod_{i>=0} (1 - x q^{iM}),  x = +-q^a,
 
-truncated to a finite exponent window.  expand_product is the one entry
-point.  It first pairs whole symbols (x q^a, x q^{M-a}; q^M) into sparse
-theta series by the triple product, at O(order * sqrt(order / M)) each.
-The symbols left over split into linear factors (1 -+ q^e); those in both
-the numerator and the denominator cancel, and each net one is a pass: a
+truncated to a finite exponent window.  A finite product needs no form of
+its own: (x; q^M)_N = (x; q^M)_inf / (x q^{NM}; q^M)_inf.  expand_product is
+the one entry point.  It first pairs whole symbols (x q^a, x q^{M-a}; q^M)
+into sparse theta series by the triple product, at O(order * sqrt(order / M))
+each.  The symbols left over split into linear factors (1 -+ q^e); those in
+both the numerator and the denominator cancel, and each net one is a pass: a
 multiply is one map that subtracts or adds the series shifted by e from
 itself, a divide adds or subtracts each block of e coefficients into the
 next.  Both cost O(order) per linear factor, so a full Pochhammer symbol
@@ -161,8 +162,8 @@ def expand_factor(f: PochhammerFactor, order: int) -> LaurentSeries:
     return LaurentSeries(0, coeffs, order)
 
 
-def _linear_passes(coeffs: list[int], numerator, denominator, stop: int) -> None:
-    """In place, apply the net linear factors (1 -+ q^e) with e < stop of the quotient.
+def _linear_passes(coeffs: list[int], numerator, denominator) -> None:
+    """In place, apply the net linear factors (1 -+ q^e) of the quotient in the window.
 
     A factor of both the numerator and the denominator cancels.  The passes
     are exact and commute, so the rest run as all multiplies, then all
@@ -171,7 +172,7 @@ def _linear_passes(coeffs: list[int], numerator, denominator, stop: int) -> None
     net: Counter[tuple[int, int]] = Counter()
     for factors, weight in ((numerator, 1), (denominator, -1)):
         for f in factors:
-            for e in range(f.offset, stop, f.modulus):
+            for e in range(f.offset, len(coeffs), f.modulus):
                 net[e, f.arg_sign] += weight
     passes = sorted(net.items())
     for (e, sign), n in passes:
@@ -187,14 +188,14 @@ def _linear_passes(coeffs: list[int], numerator, denominator, stop: int) -> None
 
 def _theta_window(M: int, a: int, order: int) -> Iterator[tuple[int, int]]:
     """(j, E(j)) for every j with E(j) = M*j*(j+1)/2 - a*j below order, by ascending j."""
-    # E(j) < order between the roots of M*j^2 + (M - 2a)*j - 2*order = 0;
-    # scan that j-range with exact checks.
+    # E(j) < order iff (2*M*j + b)^2 < disc, so every such j has
+    # |2*M*j + b| <= isqrt(disc); scan that j-range with exact checks.
     b = M - 2 * a
     disc = b * b + 8 * M * order
     if disc < 0:
         return
     root = isqrt(disc)
-    for j in range((-b - root) // (2 * M) - 1, (-b + root) // (2 * M) + 2):
+    for j in range((-b - root) // (2 * M), (-b + root) // (2 * M) + 1):
         e = M * j * (j + 1) // 2 - a * j
         if e < order:
             yield j, e
@@ -296,9 +297,7 @@ def _split_pairs(factors: Sequence[PochhammerFactor]):
     return unpaired, pairs, powers
 
 
-def expand_product(
-    spec: ProductSpec, order: int, max_exponent: int | None = None
-) -> LaurentSeries:
+def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
     """Exact expansion of the denoted quotient; window [prefactor_exponent, order).
 
     Pairs (x q^a, x q^{M-a}; q^M) become sparse theta series, the net power of
@@ -307,10 +306,6 @@ def expand_product(
     denominators are multiplied and divided in O(order * sqrt(order / M))
     each.  The symbols left over take the net linear passes: each linear
     factor of both the numerator and the denominator cancels first.
-
-    With max_exponent, only the linear factors (1 -+ q^e) with e <=
-    max_exponent are kept.  Such a truncated product is no theta series, so
-    when the cap falls inside the window every factor takes the linear path.
     """
     length = order - spec.prefactor_exponent
     if length < 0:
@@ -319,29 +314,25 @@ def expand_product(
         )
     if length == 0:
         return LaurentSeries(order, (), order)
-    coeffs = [0] * length
-    coeffs[0] = 1
-    if max_exponent is not None and max_exponent < length - 1:
-        _linear_passes(coeffs, spec.numerator, spec.denominator, max_exponent + 1)
-    else:
-        num, num_pairs, num_powers = _split_pairs(spec.numerator)
-        den, den_pairs, den_powers = _split_pairs(spec.denominator)
-        num_powers.subtract(den_powers)
-        for M, power in sorted(num_powers.items()):
-            pentagonal = [(-1, M, 3 * M)] * abs(power)
-            if power > 0:
-                num_pairs += pentagonal
-            else:
-                den_pairs += pentagonal
-        _linear_passes(coeffs, num, den, length)
+    coeffs = [1] + [0] * (length - 1)
+    num, num_pairs, num_powers = _split_pairs(spec.numerator)
+    den, den_pairs, den_powers = _split_pairs(spec.denominator)
+    num_powers.subtract(den_powers)
+    for M, power in sorted(num_powers.items()):
+        pentagonal = [(-1, M, 3 * M)] * abs(power)
+        if power > 0:
+            num_pairs += pentagonal
+        else:
+            den_pairs += pentagonal
+    _linear_passes(coeffs, num, den)
 
-        def sparse(z, a, M):
-            return sorted((e, c) for e, c in _theta_terms(M, a, length, z).items() if e and c)
+    def sparse(z, a, M):
+        return sorted((e, c) for e, c in _theta_terms(M, a, length, z).items() if e and c)
 
-        for pair in num_pairs:
-            coeffs = _mul_sparse(coeffs, sparse(*pair))
-        for pair in den_pairs:
-            _div_sparse(coeffs, sparse(*pair))
+    for pair in num_pairs:
+        coeffs = _mul_sparse(coeffs, sparse(*pair))
+    for pair in den_pairs:
+        _div_sparse(coeffs, sparse(*pair))
     return LaurentSeries(0, coeffs, length).monomial_mul(
         spec.prefactor_sign, spec.prefactor_exponent
     )
@@ -481,6 +472,8 @@ def verify_1psi1(
     theta), all sparse series.  Returns a truthy
     IdentityCheck, or a falsy one carrying the first disagreement.
     """
+    if order < 0:
+        raise InvalidParams(f"order must be >= 0, got {order}")
     tk = p.t * p.k
     lhs = lambert_series(p, order + tk).monomial_mul(-1, -tk)
     if rhs_spec is None:

@@ -8,8 +8,8 @@ from qvanish.products import _div_linear, _mul_linear
 from qvanish.series import LaurentSeries
 
 
-def _linear_expand(spec, order, max_exponent=None):
-    """expand_product(spec, order, max_exponent) the slow way.
+def _linear_expand(spec, order):
+    """expand_product(spec, order) the slow way.
 
     Every numerator symbol, then every denominator symbol, one linear factor
     (1 -+ q^e) at a time: no theta pairs and no cancellation.
@@ -17,13 +17,12 @@ def _linear_expand(spec, order, max_exponent=None):
     length = order - spec.prefactor_exponent
     if length == 0:
         return LaurentSeries(order, (), order)
-    stop = length if max_exponent is None else min(length, max_exponent + 1)
     coeffs = [1] + [0] * (length - 1)
     for f in spec.numerator:
-        for e in range(f.offset, stop, f.modulus):
+        for e in range(f.offset, length, f.modulus):
             _mul_linear(coeffs, e, f.arg_sign)
     for f in spec.denominator:
-        for e in range(f.offset, stop, f.modulus):
+        for e in range(f.offset, length, f.modulus):
             _div_linear(coeffs, e, f.arg_sign)
     return LaurentSeries(0, coeffs, length).monomial_mul(
         spec.prefactor_sign, spec.prefactor_exponent

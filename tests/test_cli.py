@@ -419,6 +419,17 @@ def test_identity_1psi1(capsys):
     assert out.strip() == "pass"
 
 
+def test_identity_1psi1_rejects_negative_order(capsys):
+    # checked before the Lambert window order + tk or the prefactor exponent
+    for r, order in ((1, -5), (5, -1), (1, -1)):
+        tokens = ("m=2", "k=3", "t=1", f"r={r}", f"order={order}")
+        code, out, err = run(capsys, "identity", "1psi1", *tokens)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: order must be >= 0, got {order}"
+    code, out, _ = run(capsys, "identity", "1psi1", "m=2", "k=3", "t=1", "r=1", "order=0")
+    assert (code, out.strip()) == (0, "pass")
+
+
 def test_identity_jtp(capsys):
     code, out, _ = run(capsys, "identity", "jtp", "M=9", "a=4", "order=200")
     assert code == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -178,6 +179,14 @@ def test_counts_match_reference_dp_with_part_cap():
             RestrictedPartitionSpec(1, {0}, max_part=max_part),
         ):
             assert_matches_reference(spec, n)
+    mix = RestrictedPartitionSpec(30, {13, 17}, {2, 28})
+    # a cap below every residue leaves only the empty partition
+    assert count_restricted_table(replace(mix, max_part=1), n) == [1] + [0] * n
+    # caps a - 1, a, a + M - 1 and a + M around the distinct residue 2 and the
+    # paired repeatable residue 13
+    for a in (2, 13):
+        for max_part in (a - 1, a, a + 29, a + 30):
+            assert_matches_reference(replace(mix, max_part=max_part), n)
 
 
 def test_counts_match_reference_dp_randomized():

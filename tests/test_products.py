@@ -10,12 +10,14 @@ checked against the product side it is classically equal to.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 import qvanish.products
 from qvanish import Degenerate, InvalidParams, LaurentSeries
+from qvanish.partitions import RestrictedPartitionSpec, count_restricted_table
 from qvanish.products import (
     BilateralSpecialization,
     IdentityCheck,
@@ -280,6 +282,13 @@ def test_paired_expansion_matches_linear_on_family_quotients(linear_expand):
         quotient((), (1, 29, 30), 30),  # partitions into parts 0, +-1 mod 30
         quotient((4, 4), (8,), 8),  # a = M/2 pairs with itself
         quotient((1, 2, 3), (1, 2), 7),  # unpaired factors only
+        # (q, -q^4; q^5) and (q^3, -q^3; q^6): a pair shares its sign, so none here
+        ProductSpec(
+            1,
+            0,
+            (PochhammerFactor(1, 1, 5), PochhammerFactor(-1, 4, 5)),
+            pochhammer((3,), 6) + pochhammer((3,), 6, -1),
+        ),
     ]
     for spec in specs:
         for order in (0, 1, 60, 301):
@@ -306,12 +315,14 @@ def test_paired_expansion_matches_linear_on_every_1psi1_right_side(linear_expand
 
 
 def test_paired_expansion_cap(linear_expand):
-    spec = quotient((), (1, 29, 30), 30)
-    # a cap at or past the window changes nothing
+    # parts 0, +-1 mod 30: a cap at or past n changes no count
+    spec = RestrictedPartitionSpec(30, {0, 1, 29})
+    table = count_restricted_table(spec, 99)
+    assert table == list(linear_expand(quotient((), (1, 29, 30), 30), 100).coeffs)
     for cap in (99, 100, 1000):
-        assert expand_product(spec, 100, max_exponent=cap) == linear_expand(spec, 100)
+        assert count_restricted_table(replace(spec, max_part=cap), 99) == table
     # parts up to 5: only the factor 1/(1 - q) is left
-    assert list(expand_product(spec, 20, max_exponent=5).coeffs) == [1] * 20
+    assert count_restricted_table(replace(spec, max_part=5), 19) == [1] * 20
     with pytest.raises(InvalidParams):
         expand_product(ProductSpec(1, 5, (), ()), 4)
 
@@ -344,9 +355,7 @@ def test_pair_plus_cancelling_symbol_with_prefactor(linear_expand):
     numerator = pochhammer((2, 5), 7) + pochhammer((1,), 3)
     spec = ProductSpec(-1, -2, numerator, pochhammer((1,), 2) + pochhammer((3,), 5, -1))
     for order in (-2, -1, 40, 250):
-        assert expand_product(spec, order) == linear_expand(spec, order)
-        for cap in (1, 6, 37, 251, 400):
-            assert expand_product(spec, order, cap) == linear_expand(spec, order, cap), (order, cap)
+        assert expand_product(spec, order) == linear_expand(spec, order), order
 
 
 # -- bilateral specialization --------------------------------------------------
@@ -384,6 +393,14 @@ def test_1psi1_negative_offset_rewrite():
     spec = bilateral_product_spec(p)
     assert spec.prefactor_sign == -1 and spec.prefactor_exponent == 2 - 6
     assert verify_1psi1(p, 200)
+
+
+def test_1psi1_rejects_negative_order():
+    for p in (BilateralSpecialization(2, 3, 1, 1), BilateralSpecialization(2, 3, 1, 5)):
+        for order in (-5, -1):
+            with pytest.raises(InvalidParams, match=rf"^order must be >= 0, got {order}$"):
+                verify_1psi1(p, order)
+        assert verify_1psi1(p, 0)
 
 
 def test_1psi1_degenerate():

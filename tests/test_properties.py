@@ -80,13 +80,17 @@ def test_paired_expansion_equals_linear(linear_expand, spec, length):
     assert expand_product(spec, order) == linear_expand(spec, order)
 
 
-@settings(max_examples=80, deadline=None)
-@given(product_specs(), st.integers(1, 160), st.integers(0, 150))
-def test_capped_expansion_keeps_linear_factors_up_to_cap(spec, cap, length):
-    order = spec.prefactor_exponent + length
-    series = expand_product(spec, order, max_exponent=cap)
-    assert (series.valuation, series.order) == (spec.prefactor_exponent, order)
-    assert list(series.coeffs) == capped_reference(spec, order, cap)
+@settings(max_examples=200, deadline=None)
+@given(signs, st.integers(1, 40), st.integers(1, 12), st.integers(0, 12), st.integers(0, 150))
+def test_capped_expansion_keeps_linear_factors_up_to_cap(x, a, M, N, order):
+    # the finite symbol (x q^a; q^M)_N = (x q^a; q^M)_inf / (x q^{a+NM}; q^M)_inf
+    # and its reciprocal, against the N linear factors e = a, ..., a + (N-1)M
+    head, tail = PochhammerFactor(x, a, M), PochhammerFactor(x, a + N * M, M)
+    for num, den in (((head,), ()), ((), (head,))):
+        series = expand_product(ProductSpec(1, 0, num or (tail,), den or (tail,)), order)
+        assert (series.valuation, series.order) == (0, order)
+        reference = capped_reference(ProductSpec(1, 0, num, den), order, a + (N - 1) * M)
+        assert list(series.coeffs) == reference
 
 
 @st.composite
@@ -105,10 +109,10 @@ def mixed_specs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(mixed_specs(), st.integers(0, 150), st.none() | st.integers(1, 160))
-def test_expansion_equals_linear_on_random_specs(linear_expand, spec, length, cap):
+@given(mixed_specs(), st.integers(0, 150))
+def test_expansion_equals_linear_on_random_specs(linear_expand, spec, length):
     order = spec.prefactor_exponent + length
-    assert expand_product(spec, order, cap) == linear_expand(spec, order, cap)
+    assert expand_product(spec, order) == linear_expand(spec, order)
 
 
 @settings(max_examples=150, deadline=None)

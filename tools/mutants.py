@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 VANISHING = "src/qvanish/vanishing.py"
 PRODUCTS = "src/qvanish/products.py"
 PARTITIONS = "src/qvanish/partitions.py"
+SERIES = "src/qvanish/series.py"
 
 MUTANTS = (
     Mutant(
@@ -93,6 +94,69 @@ MUTANTS = (
         "_theta_window(mk, r - t * k, target + 1)",
         "_theta_window(mk, r - t * k, target)",
         ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "part-cap tail one modulus short",
+        PARTITIONS,
+        "((P - f.offset) // M + 1) * M",
+        "((P - f.offset) // M) * M",
+        ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "part-cap filter drops a symbol whose first part is the cap",
+        PARTITIONS,
+        "f.offset <= P",
+        "f.offset < P",
+        ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "one divide per negative count",
+        PRODUCTS,
+        "for _ in range(-n):",
+        "for _ in range(min(-n, 1)):",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "expand_factor stops one factor short",
+        PRODUCTS,
+        "for e in range(f.offset, order, f.modulus):",
+        "for e in range(f.offset, order - 1, f.modulus):",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "_theta_window misses the top j",
+        PRODUCTS,
+        "(-b + root) // (2 * M) + 1)",
+        "(-b + root) // (2 * M))",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "_theta_window misses the bottom j",
+        PRODUCTS,
+        "range((-b - root) // (2 * M),",
+        "range((-b - root) // (2 * M) + 1,",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "_mul_low bias a bit short",
+        SERIES,
+        'bytes(w - 1) + b"\\x80"',
+        'bytes(w - 1) + b"\\x40"',
+        ("tests/test_series.py",),
+    ),
+    Mutant(
+        "Newton step claims one term too many",
+        SERIES,
+        "k2 = min(2 * k, n)",
+        "k2 = min(2 * k + 1, n)",
+        ("tests/test_series.py",),
+    ),
+    Mutant(
+        "_split_pairs partner of the opposite sign",
+        PRODUCTS,
+        "partner = (x, M - a, M)",
+        "partner = (-x, M - a, M)",
+        ("tests/test_products.py",),
     ),
 )
 
