@@ -15,7 +15,8 @@ that argument ("den=-1,-7:8" for (-q, -q^7; q^8)oo in the denominator), and
 
 Exit codes: 0 success or identity verified, 1 mathematical violation found,
 2 usage or parameter error, 3 unexpected internal error (a crash, reported
-in one line on stderr, never read as a violation).
+in one line on stderr, never read as a violation).  A reader that closes
+stdout early does not change the exit code.
 """
 
 from __future__ import annotations
@@ -497,14 +498,22 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         out = args.func(args)
-        if args.format == "json":
-            print(json.dumps(out.json, sort_keys=True))
-        elif args.format == "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(out.header)
-            writer.writerows(out.rows)
-        else:
-            sys.stdout.writelines(f"{line}\n" for line in out.text)
+        try:
+            if args.format == "json":
+                print(json.dumps(out.json, sort_keys=True))
+            elif args.format == "csv":
+                writer = csv.writer(sys.stdout, lineterminator="\n")
+                writer.writerow(out.header)
+                writer.writerows(out.rows)
+            else:
+                sys.stdout.writelines(f"{line}\n" for line in out.text)
+        except BrokenPipeError:
+            # The reader closed stdout early (say, `| head`) after the result
+            # was complete.  Point stdout at devnull so that the interpreter's
+            # final flush does not raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return out.code
     except (UsageError, InvalidParams, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

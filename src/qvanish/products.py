@@ -35,8 +35,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import count
 from math import gcd, isqrt
-from operator import add, sub
-from typing import Iterable, Iterator, Sequence
+from operator import add, itemgetter, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import Degenerate, InvalidParams
 from .series import LaurentSeries
@@ -253,22 +253,38 @@ def _mul_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> list[int]:
     return out
 
 
+def _gather(offsets: list[int]) -> Callable[[list[int]], tuple[int, ...]]:
+    """A function taking out to the tuple of out[i] for every i in offsets."""
+    if len(offsets) > 1:
+        return itemgetter(*offsets)
+    if offsets:
+        i = offsets[0]
+        return lambda out: (out[i],)
+    return lambda out: ()
+
+
 def _div_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> None:
     """In place, divide by 1 + sum(c q^e for (e, c) in terms), e >= 1 ascending.
 
-    y_n = x_n - sum(c * y_{n-e}).  Between consecutive exponents the set of
-    terms with e <= n is fixed; each coefficient then costs two sums over it,
-    one for each sign, with |c| > 1 written as a repeated exponent.
+    y_n = x_n - sum(c * y_{n-e}).  The quotient grows in a new list out, one
+    append per coefficient, so y_{n-e} is always out[-e].  Between consecutive
+    exponents the set of terms with e <= n is fixed; each such segment builds
+    one getter per sign over those negative offsets, with |c| > 1 written as
+    a repeated offset, so each coefficient costs two gathers and two sums.
     """
-    added: list[int] = []  # e with y_{n-e} added, i.e. c < 0
+    if not terms:
+        return
+    out = coeffs[: terms[0][0]]
+    append = out.append
+    added: list[int] = []  # -e with y_{n-e} added, i.e. c < 0
     subtracted: list[int] = []
     stops = [e for e, _ in terms[1:]] + [len(coeffs)]
     for (e, c), stop in zip(terms, stops):
-        (subtracted if c > 0 else added).extend([e] * abs(c))
-        for n in range(e, stop):
-            coeffs[n] += sum([coeffs[n - d] for d in added]) - sum(
-                [coeffs[n - d] for d in subtracted]
-            )
+        (subtracted if c > 0 else added).extend([-e] * abs(c))
+        plus, minus = _gather(added), _gather(subtracted)
+        for x in coeffs[e:stop]:
+            append(sum(plus(out), x) - sum(minus(out)))
+    coeffs[:] = out
 
 
 def _split_pairs(factors: Sequence[PochhammerFactor]):
@@ -304,8 +320,10 @@ def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
     each (q^M; q^M) is applied through Euler's pentagonal series (the theta
     series of (q^M, q^{2M}, q^{3M}; q^{3M})), and sparse numerators and
     denominators are multiplied and divided in O(order * sqrt(order / M))
-    each.  The symbols left over take the net linear passes: each linear
-    factor of both the numerator and the denominator cancels first.
+    each.  The first numerator series is written into the window, since 1
+    times a sparse series is its terms; any further ones are multiplied in.
+    The symbols left over take the net linear passes: each linear factor of
+    both the numerator and the denominator cancels first.
     """
     length = order - spec.prefactor_exponent
     if length < 0:
@@ -324,11 +342,16 @@ def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
             num_pairs += pentagonal
         else:
             den_pairs += pentagonal
-    _linear_passes(coeffs, num, den)
 
     def sparse(z, a, M):
         return sorted((e, c) for e, c in _theta_terms(M, a, length, z).items() if e and c)
 
+    # every pass is exact and they commute, so the window may start as the
+    # first numerator series instead of 1
+    if num_pairs:
+        for e, c in sparse(*num_pairs.pop()):
+            coeffs[e] += c
+    _linear_passes(coeffs, num, den)
     for pair in num_pairs:
         coeffs = _mul_sparse(coeffs, sparse(*pair))
     for pair in den_pairs:

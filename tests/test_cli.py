@@ -5,7 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +250,28 @@ def test_unexpected_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError: kernel exploded\n"
+
+
+def test_reader_closing_stdout_early_is_not_an_error():
+    # about 200 KB of output, well past a pipe buffer, so the child is still
+    # writing when the reader goes away after one line
+    src = str(Path(qvanish.cli.__file__).resolve().parents[1])
+    cmd = [sys.executable, "-m", "qvanish.cli", "expand", "num=1:1", "order=20000"]
+    child = subprocess.Popen(
+        cmd,
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert child.stdout.readline() == b"q^0: 1\n"
+        child.stdout.close()
+        code = child.wait(timeout=60)
+        err = child.stderr.read()
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert (code, err) == (0, b"")
 
 
 def test_scan_requires_family_and_k(capsys):

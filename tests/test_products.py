@@ -33,7 +33,7 @@ from qvanish.products import (
     pochhammer,
     verify_1psi1,
 )
-from qvanish.products import _div_linear, _mul_linear
+from qvanish.products import _div_linear, _div_sparse, _mul_linear, _mul_sparse, _theta_terms
 
 
 def quotient(num: tuple[int, ...], den: tuple[int, ...], modulus: int) -> ProductSpec:
@@ -192,6 +192,41 @@ def test_div_linear_matches_naive_recurrence_and_inverts_mul():
                     assert y == naive_div_linear(x, e, sign), (n, e, sign)
                     _mul_linear(y, e, sign)
                     assert y == x, (n, e, sign)
+
+
+def naive_div_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> list[int]:
+    """y_n = x_n - sum(c*y_{n-e}), one coefficient at a time."""
+    y = list(coeffs)
+    for n in range(len(y)):
+        y[n] -= sum(c * y[n - e] for e, c in terms if e <= n)
+    return y
+
+
+def theta_terms(M: int, a: int, n: int, z: int) -> list[tuple[int, int]]:
+    return sorted((e, c) for e, c in _theta_terms(M, a, n, z).items() if e and c)
+
+
+def test_div_sparse_matches_naive_recurrence_and_inverts_mul():
+    rng = random.Random(11)
+    for n in (0, 1, 3, 9, 40):
+        for terms in (
+            [],
+            [(3, -1)],  # one term: one added offset, no subtracted one
+            [(2, 1), (5, -1)],  # one subtracted offset and no added one, then one each
+            [(4, 1), (6, -1), (7, 1)],  # a first exponent above 1
+            [(5, 2)],  # a window shorter than the first exponent when n < 5
+            theta_terms(6, 3, n, -1),  # the pair (q^3, q^3; q^6): |c| = 2
+            theta_terms(7, 2, n, 1),  # (-q^2, -q^5; q^7): every term subtracted
+            theta_terms(9, 4, n, -1),
+        ):
+            for big in (False, True):
+                x = [rng.randrange(-50, 51) for _ in range(n)]
+                if big:  # coefficients past 64-bit machine integers
+                    x = [c * 2**70 + rng.randrange(2**64) for c in x]
+                y = list(x)
+                _div_sparse(y, terms)
+                assert y == naive_div_sparse(x, terms), (n, terms)
+                assert _mul_sparse(y, terms) == x, (n, terms)
 
 
 def test_expand_product_window_bounds():

@@ -75,6 +75,34 @@ MUTANTS = (
         ("tests/test_products.py",),
     ),
     Mutant(
+        "_div_sparse reads y one exponent late",
+        PRODUCTS,
+        ".extend([-e] * abs(c))",
+        ".extend([1 - e] * abs(c))",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "_div_sparse starts out one coefficient short",
+        PRODUCTS,
+        "out = coeffs[: terms[0][0]]",
+        "out = coeffs[: terms[0][0] - 1]",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "first numerator series seeded with the wrong sign",
+        PRODUCTS,
+        "coeffs[e] += c",
+        "coeffs[e] -= c",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "first numerator series both seeded and multiplied",
+        PRODUCTS,
+        "num_pairs.pop()",
+        "num_pairs[-1]",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
         "cmd_scan always exits 0",
         "src/qvanish/cli.py",
         "1 if violated else 0,",
