@@ -128,19 +128,6 @@ class TokenBag:
             raise UsageError(f"unknown token {leftovers[0]}=...")
 
 
-def resolve_order(bag: TokenBag, default: int = DEFAULT_ORDER) -> int:
-    order = bag.take_int("order")
-    if order is not None:
-        return order
-    env = os.environ.get("QVANISH_ORDER")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"QVANISH_ORDER={env!r} is not an integer") from None
-    return default
-
-
 def parse_factors(bag: TokenBag, key: str) -> tuple[PochhammerFactor, ...]:
     factors = []
     for value in bag.take_all(key):
@@ -245,7 +232,7 @@ def cmd_expand(args) -> Output:
     numerator = parse_factors(bag, "num")
     denominator = parse_factors(bag, "den")
     sign, exponent = parse_prefactor(bag)
-    order = resolve_order(bag)
+    order = bag.take_int("order", DEFAULT_ORDER)
     bag.finish()
     series = expand_product(ProductSpec(sign, exponent, numerator, denominator), order)
     pairs = [[e, str(series[e])] for e in range(series.valuation, series.order)]
@@ -261,7 +248,7 @@ def cmd_expand(args) -> Output:
 def cmd_verify(args) -> Output:
     bag = TokenBag(args.tokens)
     params = parse_family(bag)
-    order = resolve_order(bag)
+    order = bag.take_int("order", DEFAULT_ORDER)
     bag.finish()
     report = verify_vanishing(params, order)
     zero = report.zero_class
@@ -284,7 +271,7 @@ def cmd_scan(args) -> Output:
     # a family without an m field leaves m= to bag.finish() to refuse
     has_m = any(f.name == "m" for f in fields(cls))
     m_range = bag.take_range("m", default=range(2, 3)) if has_m else ()
-    order = resolve_order(bag, default=500)
+    order = bag.take_int("order", 500)
     bag.finish()
     result = scan(k_range, m_range, order, family, jobs=args.jobs)
     reports, skipped = result.reports, result.skipped
@@ -402,7 +389,7 @@ def cmd_parity(args) -> Output:
 def cmd_1psi1(args) -> Output:
     bag = TokenBag(args.tokens)
     p = BilateralSpecialization(*field_values(bag, BilateralSpecialization))
-    order = resolve_order(bag, default=300)
+    order = bag.take_int("order", 300)
     bag.finish()
     return check_output(verify_1psi1(p, order))
 
@@ -411,7 +398,7 @@ def cmd_jtp(args) -> Output:
     bag = TokenBag(args.tokens)
     modulus = bag.require_int("M")
     a = bag.require_int("a")
-    order = resolve_order(bag, default=200)
+    order = bag.take_int("order", 200)
     bag.finish()
     # factor by factor: expand_product would pair the symbols into
     # jtp_theta itself and compare the theta series with itself
@@ -423,7 +410,7 @@ def cmd_lambert_cancel(args) -> Output:
     bag = TokenBag(args.tokens)
     p = BilateralSpecialization(*field_values(bag, BilateralSpecialization))
     s = bag.require_int("s")
-    order = resolve_order(bag, default=300)
+    order = bag.take_int("order", 300)
     bag.finish()
     return check_output(cancellation_check(p, s, order))
 

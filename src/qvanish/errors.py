@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one lower-bound guard."""
 
 __all__ = ["QvanishError", "NotAUnit", "OutOfRange", "InvalidParams", "Degenerate", "TooLarge"]
 
@@ -25,3 +25,9 @@ class Degenerate(InvalidParams):
 
 class TooLarge(QvanishError, ValueError):
     """Exhaustive enumeration would exceed the configured cap."""
+
+
+def at_least(name: str, value: int, low: int) -> None:
+    """Refuse a count or window length below its minimum, naming the input."""
+    if value < low:
+        raise InvalidParams(f"{name} must be >= {low}, got {value}")

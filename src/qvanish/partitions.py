@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .errors import InvalidParams, TooLarge
+from .errors import InvalidParams, TooLarge, at_least
 from .products import ProductSpec, _theta_window, expand_product, pochhammer
 from .vanishing import ResidueClass, ShiftedQuotientParams, zero_class
 
@@ -70,8 +70,7 @@ class RestrictedPartitionSpec:
     def __post_init__(self):
         object.__setattr__(self, "repeatable_residues", frozenset(self.repeatable_residues))
         object.__setattr__(self, "distinct_residues", frozenset(self.distinct_residues))
-        if self.modulus < 1:
-            raise InvalidParams(f"modulus must be >= 1, got {self.modulus}")
+        at_least("modulus", self.modulus, 1)
         for res in self.repeatable_residues | self.distinct_residues:
             if not 0 <= res < self.modulus:
                 raise InvalidParams(f"residue {res} outside [0, {self.modulus})")
@@ -82,8 +81,8 @@ class RestrictedPartitionSpec:
             )
         if 0 in self.distinct_residues:
             raise InvalidParams("residue 0 is only allowed among repeatable residues")
-        if self.max_part is not None and self.max_part < 1:
-            raise InvalidParams(f"max_part must be >= 1, got {self.max_part}")
+        if self.max_part is not None:
+            at_least("max_part", self.max_part, 1)
 
     def parts_up_to(self, limit: int) -> tuple[list[int], list[int]]:
         """Allowed (repeatable, distinct) part sizes <= limit, each ascending."""
@@ -143,25 +142,6 @@ class Partition:
             i += mult
         return "+".join(pieces)
 
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        text = text.strip()
-        if text == "0":
-            return cls(())
-        parts: list[int] = []
-        for token in text.split("+"):
-            token = token.strip()
-            base, caret, mult = token.partition("^")
-            try:
-                p = int(base)
-                e = int(mult) if caret else 1
-            except ValueError:
-                raise InvalidParams(f"cannot parse partition term {token!r}") from None
-            if p < 1 or e < 1:
-                raise InvalidParams(f"invalid partition term {token!r}")
-            parts.extend([p] * e)
-        return cls(tuple(parts))
-
     def __str__(self) -> str:
         return self.render()
 
@@ -171,8 +151,6 @@ class Partition:
 
 def _expand(spec: RestrictedPartitionSpec, n_max: int, sign: int) -> list[int]:
     """Coefficients up to q^n_max of the generating product, each part weighted by sign."""
-    if n_max < 0:
-        raise InvalidParams(f"n_max must be >= 0, got {n_max}")
     M, P = spec.modulus, spec.max_part
     num = pochhammer(sorted(spec.distinct_residues), M, -sign)
     den = pochhammer(sorted(res or M for res in spec.repeatable_residues), M, sign)
@@ -189,11 +167,13 @@ def _expand(spec: RestrictedPartitionSpec, n_max: int, sign: int) -> list[int]:
 
 def count_restricted_table(spec: RestrictedPartitionSpec, n_max: int) -> list[int]:
     """Exact counts for every 0 <= n <= n_max, from one product expansion."""
+    at_least("n_max", n_max, 0)
     return _expand(spec, n_max, 1)
 
 
 def count_restricted(spec: RestrictedPartitionSpec, n: int) -> int:
     """Number of partitions of n obeying the spec."""
+    at_least("n", n, 0)
     return count_restricted_table(spec, n)[n]
 
 
@@ -204,6 +184,7 @@ def _parity_pair(total: int, signed: int) -> ParityCountPair:
 
 def count_restricted_by_parity(spec: RestrictedPartitionSpec, n: int) -> ParityCountPair:
     """Counts of spec-partitions of n with evenly/oddly many parts."""
+    at_least("n", n, 0)
     return _parity_pair(_expand(spec, n, 1)[n], _expand(spec, n, -1)[n])
 
 
@@ -269,8 +250,7 @@ def parity_spec(m: int, k: int, s: int, t: int) -> RestrictedPartitionSpec:
 
 def count_parity_split(m: int, k: int, s: int, t: int, n: int) -> ParityCountPair:
     """Even/odd part-count split for the theorem's repeatable/distinct mix."""
-    if n < 0:
-        raise InvalidParams(f"n must be >= 0, got {n}")
+    at_least("n", n, 0)
     return count_restricted_by_parity(parity_spec(m, k, s, t), n)
 
 
@@ -297,8 +277,7 @@ def verify_parity_identity(m: int, k: int, s: int, t: int, n_max: int) -> Parity
     The class is kn - rs for r - tk > 0 and kn - r(s+1) for r - tk < 0, the
     latter because normalizing the negative offset shifts the progression.
     """
-    if n_max < 0:
-        raise InvalidParams(f"n_max must be >= 0, got {n_max}")
+    at_least("n_max", n_max, 0)
     params = ShiftedQuotientParams(m, k, s, t, "minus")
     cls = zero_class(params)
     spec = parity_spec(m, k, s, t)
@@ -326,10 +305,8 @@ def enumerate_restricted(
     The count is computed first; if it exceeds the cap the enumeration is
     refused with TooLarge rather than silently truncated.
     """
-    if n < 0:
-        raise InvalidParams(f"n must be >= 0, got {n}")
-    if cap < 1:
-        raise InvalidParams(f"cap must be >= 1, got {cap}")
+    at_least("n", n, 0)
+    at_least("cap", cap, 1)
     total = count_restricted(spec, n)
     if total > cap:
         raise TooLarge(f"{total} partitions of {n} exceed the cap of {cap}")

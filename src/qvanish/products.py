@@ -34,12 +34,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import count
-from math import gcd, isqrt
+from math import isqrt
 from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import Degenerate, InvalidParams
-from .series import LaurentSeries
+from .errors import Degenerate, InvalidParams, at_least
+from .series import LaurentSeries, _first_difference
 
 __all__ = [
     "PochhammerFactor",
@@ -74,10 +74,8 @@ class PochhammerFactor:
     def __post_init__(self):
         if self.arg_sign not in (1, -1):
             raise InvalidParams(f"arg_sign must be +1 or -1, got {self.arg_sign}")
-        if self.offset < 1:
-            raise InvalidParams(f"offset must be >= 1, got {self.offset}")
-        if self.modulus < 1:
-            raise InvalidParams(f"modulus must be >= 1, got {self.modulus}")
+        at_least("offset", self.offset, 1)
+        at_least("modulus", self.modulus, 1)
 
     def __str__(self) -> str:
         x = f"q^{self.offset}" if self.offset != 1 else "q"
@@ -154,8 +152,7 @@ def expand_factor(f: PochhammerFactor, order: int) -> LaurentSeries:
     It runs its own multiply passes, so it shares neither pairing nor
     division with expand_product and can check both independently.
     """
-    if order < 0:
-        raise InvalidParams(f"order must be >= 0, got {order}")
+    at_least("order", order, 0)
     coeffs = [1] + [0] * (order - 1) if order else []
     for e in range(f.offset, order, f.modulus):
         _mul_linear(coeffs, e, f.arg_sign)
@@ -219,10 +216,8 @@ def jtp_theta(M: int, a: int, order: int) -> LaurentSeries:
     integer a is accepted; outside that range the minimal exponent can go
     negative and the series picks up a negative valuation.
     """
-    if M < 1:
-        raise InvalidParams(f"M must be >= 1, got {M}")
-    if order < 0:
-        raise InvalidParams(f"order must be >= 0, got {order}")
+    at_least("M", M, 1)
+    at_least("order", order, 0)
     terms = _theta_terms(M, a, order)
     if not terms:
         return LaurentSeries(order, (), order)
@@ -413,8 +408,7 @@ def lambert_series(p: BilateralSpecialization, order: int) -> LaurentSeries:
     exponent in its denominator and is normalized through
     1/(1-q^{-c}) = -q^c/(1-q^c), so the result is an ordinary power series.
     """
-    if order < 0:
-        raise InvalidParams(f"order must be >= 0, got {order}")
+    at_least("order", order, 0)
     m, k, t, r = p.m, p.k, p.t, p.r
     mk, tk = m * k, t * k
     c = [0] * order
@@ -473,13 +467,10 @@ class IdentityCheck:
 
 def compare_series(lhs: LaurentSeries, rhs: LaurentSeries) -> IdentityCheck:
     """Compare two series over their common known window."""
-    lo = min(lhs.valuation, rhs.valuation)
-    hi = min(lhs.order, rhs.order)
-    for e in range(lo, hi):
-        cl, cr = lhs.coeff_at(e), rhs.coeff_at(e)
-        if cl != cr:
-            return IdentityCheck(False, e, cl, cr)
-    return IdentityCheck(True)
+    e = _first_difference(lhs, rhs)
+    if e is None:
+        return IdentityCheck(True)
+    return IdentityCheck(False, e, lhs.coeff_at(e), rhs.coeff_at(e))
 
 
 def verify_1psi1(
@@ -495,8 +486,7 @@ def verify_1psi1(
     theta), all sparse series.  Returns a truthy
     IdentityCheck, or a falsy one carrying the first disagreement.
     """
-    if order < 0:
-        raise InvalidParams(f"order must be >= 0, got {order}")
+    at_least("order", order, 0)
     tk = p.t * p.k
     lhs = lambert_series(p, order + tk).monomial_mul(-1, -tk)
     if rhs_spec is None:
@@ -517,8 +507,7 @@ def cancellation_check(p: BilateralSpecialization, s: int, order: int) -> Identi
     """
     if not 0 <= s < p.k:
         raise InvalidParams(f"need 0 <= s < k = {p.k}, got s={s}")
-    if order < 0:
-        raise InvalidParams(f"order must be >= 0, got {order}")
+    at_least("order", order, 0)
     m, k, t, r = p.m, p.k, p.t, p.r
     mk, tk = m * k, t * k
     pos = [0] * order

@@ -10,8 +10,10 @@ q, possibly negative), a block of integer coefficients, and an exclusive
 
 Truncation is tracked conservatively through every operation: an exponent
 beyond the order is never silently treated as zero, which is what keeps a
-"this coefficient vanishes" check honest.  All coefficients are Python ints,
-so nothing ever rounds or overflows.
+"this coefficient vanishes" check honest.  For the same reason two series
+are compared only on their common known window, from the lower valuation up
+to the lower order, by the one walk _first_difference.  All coefficients are
+Python ints, so nothing ever rounds or overflows.
 
 Multiplication and inversion work on whole coefficient blocks: a product
 packs each block into one integer (Kronecker substitution) so that CPython's
@@ -69,6 +71,18 @@ def _mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     digits = low.to_bytes(w * n, "little")
     half = 1 << (8 * w - 1)
     return [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * n, w)]
+
+
+def _first_difference(a: LaurentSeries, b: LaurentSeries) -> int | None:
+    """Lowest exponent where a and b differ on their common known window, or None.
+
+    The window runs from the lower valuation, below which a series is zero by
+    construction, up to the lower order; nothing past that order is read.
+    """
+    for e in range(min(a.valuation, b.valuation), min(a.order, b.order)):
+        if a.coeff_at(e) != b.coeff_at(e):
+            return e
+    return None
 
 
 class LaurentSeries:
@@ -155,10 +169,6 @@ class LaurentSeries:
             if c:
                 yield e, c
 
-    def is_zero(self) -> bool:
-        """True if every known coefficient is zero (says nothing past the order)."""
-        return not any(self._coeffs)
-
     def true_valuation(self) -> int | None:
         """Lowest exponent with a nonzero known coefficient, or None if all zero."""
         for e, c in self.items():
@@ -171,9 +181,13 @@ class LaurentSeries:
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(self._valuation, tuple(-c for c in self._coeffs), self._order)
 
+    def _constant(self, c: int) -> "LaurentSeries":
+        """The constant c, known on [0, self.order) or at least at q^0."""
+        return LaurentSeries(0, (c,) + (0,) * max(0, self._order - 1), max(self._order, 1))
+
     def __add__(self, other: "LaurentSeries | int") -> "LaurentSeries":
         if isinstance(other, int):
-            other = LaurentSeries(0, (other,) + (0,) * max(0, self._order - 1), max(self._order, 1))
+            other = self._constant(other)
         elif not isinstance(other, LaurentSeries):
             return NotImplemented
         val = min(self._valuation, other._valuation)
@@ -260,22 +274,12 @@ class LaurentSeries:
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        """Equality on the overlap of the known ranges, up to min(order)."""
+        """Equality on the common known window, up to min(order)."""
         if isinstance(other, int):
-            hi = self._order
-            lo = min(self._valuation, 0)
-            return all(
-                self.coeff_at(e) == (other if e == 0 else 0) for e in range(lo, hi)
-            )
-        if not isinstance(other, LaurentSeries):
+            other = self._constant(other)
+        elif not isinstance(other, LaurentSeries):
             return NotImplemented
-        hi = min(self._order, other._order)
-        lo = min(self._valuation, other._valuation)
-        if hi <= lo:
-            return True
-        a = self.truncate(hi)
-        b = other.truncate(hi)
-        return all(a.coeff_at(e) == b.coeff_at(e) for e in range(lo, hi))
+        return _first_difference(self, other) is None
 
     __hash__ = None  # equality is window-relative; hashing would be misleading
 

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 from math import gcd
 from typing import Iterable, Iterator, Union
 
-from .errors import InvalidParams
+from .errors import InvalidParams, at_least
 from .products import ProductSpec, _shifted_pair, expand_product, pochhammer
 
 __all__ = [
@@ -73,8 +73,7 @@ class ResidueClass:
     residue: int
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise InvalidParams(f"modulus must be >= 1, got {self.modulus}")
+        at_least("modulus", self.modulus, 1)
         object.__setattr__(self, "residue", self.residue % self.modulus)
 
     def contains(self, e: int) -> bool:
@@ -164,8 +163,7 @@ class AndrewsBressoudParams(_Embedded):
     family = "ab"
 
     def __post_init__(self):
-        if self.k < 2:
-            raise InvalidParams(f"k must be >= 2, got {self.k}")
+        at_least("k", self.k, 2)
         if not 1 <= self.r < self.k:
             raise InvalidParams(f"need 1 <= r < k, got r={self.r}, k={self.k}")
         if gcd(self.r, self.k) != 1:
@@ -317,8 +315,7 @@ def verify_vanishing(params: TheoremParams, order: int) -> VanishingReport:
     reported as observed, but only when at least OBSERVED_CLASS_MIN_SAMPLES
     exponents were seen.
     """
-    if order < 1:
-        raise InvalidParams(f"order must be >= 1, got {order}")
+    at_least("order", order, 1)
     spec = build_spec(params)
     cls = zero_class(params)
     normalized = ProductSpec(1, 0, spec.numerator, spec.denominator)
@@ -380,10 +377,8 @@ def scan(
     parameters).  jobs > 1 fans the expansions out over processes, at most
     one per CPU.
     """
-    if order < 1:
-        raise InvalidParams(f"order must be >= 1, got {order}")
-    if jobs < 1:
-        raise InvalidParams(f"jobs must be >= 1, got {jobs}")
+    at_least("order", order, 1)
+    at_least("jobs", jobs, 1)
     jobs = min(jobs, os.cpu_count() or 1)
     family = family.lower()
     cls = FAMILIES.get(family)

@@ -507,20 +507,6 @@ def test_identity_json_and_csv(capsys):
     assert rows[1][0] == "True"
 
 
-def test_order_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("QVANISH_ORDER", "10")
-    code, out, _ = run(capsys, "expand", "den=2:4")
-    assert code == 0
-    assert len(out.splitlines()) == 10
-    # explicit token wins over the environment
-    code, out, _ = run(capsys, "expand", "den=2:4", "order=5")
-    assert len(out.splitlines()) == 5
-    monkeypatch.setenv("QVANISH_ORDER", "ten")
-    code, _, err = run(capsys, "expand", "den=2:4")
-    assert code == 2
-    assert "QVANISH_ORDER" in err
-
-
 def test_bad_subcommand_and_flags_exit_2(capsys):
     assert main([]) == 2
     assert main(["expand", "--format=yaml"]) == 2

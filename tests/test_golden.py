@@ -43,8 +43,7 @@ GOLDEN = [
 # JSON sorts the params dict's keys away; text and CSV print them in field
 # order, so the verify and scan entries pin that order. Each entry carries
 # its --format and its expected exit code; every leaf command appears in
-# every format at least once, each with an explicit order= or n= so that
-# QVANISH_ORDER cannot change it.
+# every format at least once, each with an explicit order= or n=.
 GOLDEN_FORMATTED = [
     (("verify", "family=ab", "k=6", "r=1", "order=600"), "text", 0,
      "843941b11695f9ecf80d65c351f0a1fd"),

@@ -431,21 +431,6 @@ def test_partition_render():
     assert str(Partition((3, 3))) == "3^2"
 
 
-def test_partition_parse():
-    assert Partition.parse("2+13+17^6+32").parts == (2, 13) + (17,) * 6 + (32,)
-    assert Partition.parse(" 5 + 5 ") == Partition((5, 5))
-    assert Partition.parse("0") == Partition(())
-    for bad in ("", "x", "3^", "3^0", "0+1", "-2", "1++2"):
-        with pytest.raises(InvalidParams):
-            Partition.parse(bad)
-
-
-def test_partition_roundtrip_randomized():
-    rng = random.Random(1729)
-    for _ in range(200):
-        parts = tuple(rng.randint(1, 40) for _ in range(rng.randint(0, 12)))
-        p = Partition(parts)
-        assert Partition.parse(p.render()) == p
 
 
 def test_enumerate_order_and_small_cases():

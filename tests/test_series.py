@@ -13,7 +13,16 @@ import random
 
 import pytest
 
-from qvanish import LaurentSeries, NotAUnit, OutOfRange, ProductSpec, expand_product, pochhammer
+from qvanish import (
+    IdentityCheck,
+    LaurentSeries,
+    NotAUnit,
+    OutOfRange,
+    ProductSpec,
+    compare_series,
+    expand_product,
+    pochhammer,
+)
 
 
 def naive_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -277,6 +286,22 @@ def test_equality_uses_below_valuation_zeros():
     b = LaurentSeries(0, (0, 0, 0, 1), 4)
     assert a == b
     assert a != LaurentSeries(0, (1, 0, 0, 1), 4)
+
+
+def test_comparison_reads_the_whole_common_window_and_nothing_past_it():
+    base = poly(1, -1, 0, 2, 0, valuation=-1, order=4)
+    for e in range(-1, 4):
+        bumped = base + LaurentSeries.monomial(1, e, 4)
+        assert base != bumped and bumped != base
+        assert compare_series(base, bumped) == IdentityCheck(False, e, base[e], base[e] + 1)
+    assert compare_series(base, base) == IdentityCheck(True)
+    # a coefficient past the lower order is unknown, never a difference
+    assert base == LaurentSeries(-1, base.coeffs + (7,), 5)
+    # an int is the constant series: q^0 holds it, every other exponent is 0
+    assert LaurentSeries(0, (3, 0, 0, 0), 4) == 3
+    assert LaurentSeries(0, (3, 0, 0, 1), 4) != 3
+    assert LaurentSeries(-2, (0, 0, 3), 1) == 3
+    assert LaurentSeries(-2, (1, 0, 3), 1) != 3
 
 
 def test_truncate():

@@ -186,6 +186,20 @@ MUTANTS = (
         "partner = (-x, M - a, M)",
         ("tests/test_products.py",),
     ),
+    Mutant(
+        "lower-bound guard accepts low - 1",
+        "src/qvanish/errors.py",
+        "if value < low:",
+        "if value < low - 1:",
+        ("tests/test_guards.py",),
+    ),
+    Mutant(
+        "known-window walk stops one exponent short",
+        SERIES,
+        "min(a.order, b.order)):",
+        "min(a.order, b.order) - 1):",
+        ("tests/test_series.py",),
+    ),
 )
 
 
