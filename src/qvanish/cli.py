@@ -81,11 +81,11 @@ class TokenBag:
                 raise UsageError(f"cannot parse token {token!r} (expected KEY=VALUE)")
             self._values.setdefault(key, []).append(value)
 
-    def take(self, key: str, default: str | None = None) -> str | None:
+    def take(self, key: str) -> str | None:
         self._used.add(key)
         values = self._values.get(key)
         if values is None:
-            return default
+            return None
         if len(values) > 1:
             raise UsageError(f"{key}= given {len(values)} times")
         return values[0]

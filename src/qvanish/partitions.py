@@ -26,6 +26,7 @@ Two combinatorial consequences of the vanishing theorems live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import NamedTuple
 
 from .errors import InvalidParams, TooLarge, at_least
@@ -123,24 +124,14 @@ class Partition:
         object.__setattr__(self, "parts", parts)
 
     @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    @property
     def num_parts(self) -> int:
         return len(self.parts)
 
     def render(self) -> str:
         if not self.parts:
             return "0"
-        pieces = []
-        i = 0
-        while i < len(self.parts):
-            p = self.parts[i]
-            mult = self.parts.count(p)
-            pieces.append(str(p) if mult == 1 else f"{p}^{mult}")
-            i += mult
-        return "+".join(pieces)
+        runs = ((p, len(list(group))) for p, group in groupby(self.parts))
+        return "+".join(str(p) if mult == 1 else f"{p}^{mult}" for p, mult in runs)
 
     def __str__(self) -> str:
         return self.render()

@@ -106,26 +106,11 @@ class LaurentSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int, valuation: int = 0) -> "LaurentSeries":
-        """The zero series known on [valuation, order)."""
-        lo = min(valuation, order)
-        return cls(lo, (0,) * (order - lo), order)
-
-    @classmethod
     def one(cls, order: int) -> "LaurentSeries":
         """The constant series 1 known on [0, order)."""
         if order <= 0:
             return cls(order, (), order)
         return cls(0, (1,) + (0,) * (order - 1), order)
-
-    @classmethod
-    def monomial(cls, sign: int, exponent: int, order: int) -> "LaurentSeries":
-        """The single term sign * q^exponent, known on [exponent, order)."""
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
-        if order <= exponent:
-            return cls(min(exponent, order), (0,) * max(0, order - exponent), order)
-        return cls(exponent, (sign,) + (0,) * (order - exponent - 1), order)
 
     # -- inspection ---------------------------------------------------------
 
@@ -156,18 +141,12 @@ class LaurentSeries:
             return 0
         return self._coeffs[e - self._valuation]
 
-    def __getitem__(self, e: int) -> int:
-        return self.coeff_at(e)
+    __getitem__ = coeff_at
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Iterate (exponent, coefficient) over the stored window."""
         for i, c in enumerate(self._coeffs):
             yield self._valuation + i, c
-
-    def nonzero_items(self) -> Iterator[tuple[int, int]]:
-        for e, c in self.items():
-            if c:
-                yield e, c
 
     def true_valuation(self) -> int | None:
         """Lowest exponent with a nonzero known coefficient, or None if all zero."""
@@ -264,13 +243,6 @@ class LaurentSeries:
             k = k2
         return LaurentSeries(-v, g, -v + n)
 
-    def truncate(self, order: int) -> "LaurentSeries":
-        """Restrict the known window to exponents < order (never extends it)."""
-        if order >= self._order:
-            return self
-        lo = min(self._valuation, order)
-        return LaurentSeries(lo, self._coeffs[: order - lo], order)
-
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -289,7 +261,9 @@ class LaurentSeries:
         """Human-readable polynomial form, e.g. '1 - q - q^2 + q^5 + O(q^6)'."""
         parts: list[str] = []
         shown = 0
-        for e, c in self.nonzero_items():
+        for e, c in self.items():
+            if not c:
+                continue
             if shown == max_terms:
                 parts.append("+ ...")
                 break

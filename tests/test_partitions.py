@@ -143,7 +143,7 @@ def test_counts_match_enumeration_randomized():
         odd = len(listed) - even
         assert count_restricted_by_parity(spec, n) == (even, odd)
         for p in listed:
-            assert p.total == n
+            assert sum(p.parts) == n
             for part in p.parts:
                 assert part % modulus in rep | dist
                 if max_part is not None:
@@ -417,7 +417,7 @@ def test_parity_split_requires_odd_k():
 def test_partition_canonical_order_and_properties():
     p = Partition((17, 2, 13, 17, 32, 17))
     assert p.parts == (2, 13, 17, 17, 17, 32)
-    assert p.total == 98
+    assert sum(p.parts) == 98
     assert p.num_parts == 6
     assert Partition((17, 2, 13, 17, 32, 17)) == Partition((2, 13, 17, 17, 17, 32))
     with pytest.raises(InvalidParams):

@@ -215,7 +215,7 @@ def test_remark_rewrite_as_raw_laurent_identity():
         c = tk - r
         assert c > 0
         order = 80
-        raw = LaurentSeries.one(order + c) + LaurentSeries.monomial(-1, -c, order + c)
+        raw = LaurentSeries.one(order + c) + LaurentSeries.one(order + 2 * c).monomial_mul(-1, -c)
         raw = raw * expand_factor(PochhammerFactor(1, mk - c, mk), order + c)
         raw = raw * expand_factor(PochhammerFactor(1, mk + c, mk), order + c)
         normalized = expand_product(

@@ -200,6 +200,20 @@ MUTANTS = (
         "min(a.order, b.order) - 1):",
         ("tests/test_series.py",),
     ),
+    Mutant(
+        "q_string shows zero coefficients",
+        SERIES,
+        "            if not c:\n                continue\n",
+        "",
+        ("tests/test_series.py",),
+    ),
+    Mutant(
+        "render run length off by one",
+        PARTITIONS,
+        "len(list(group))",
+        "len(list(group)) + 1",
+        ("tests/test_partitions.py",),
+    ),
 )
 
 
