@@ -141,10 +141,10 @@ def parse_factors(bag: TokenBag, key: str) -> tuple[PochhammerFactor, ...]:
                 if piece.startswith("-"):
                     sign, piece = -1, piece[1:]
                 factors.append(PochhammerFactor(sign, int(piece), modulus))
+        except InvalidParams as exc:  # a ValueError too, so it is caught first
+            raise UsageError(f"{key}={value}: {exc}") from None
         except ValueError:
             raise UsageError(f"cannot parse {key}={value} (expected OFFSETS:MODULUS)") from None
-        except InvalidParams as exc:
-            raise UsageError(f"{key}={value}: {exc}") from None
     return tuple(factors)
 
 

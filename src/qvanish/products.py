@@ -6,15 +6,16 @@ The objects here are quotients of q-Pochhammer symbols
 
 truncated to a finite exponent window.  A finite product needs no form of
 its own: (x; q^M)_N = (x; q^M)_inf / (x q^{NM}; q^M)_inf.  expand_product is
-the one entry point.  It first pairs whole symbols (x q^a, x q^{M-a}; q^M)
-into sparse theta series by the triple product, at O(order * sqrt(order / M))
-each.  The symbols left over split into linear factors (1 -+ q^e); those in
-both the numerator and the denominator cancel, and each net one is a pass: a
-multiply is one map that subtracts or adds the series shifted by e from
-itself, a divide adds or subtracts each block of e coefficients into the
-next.  Both cost O(order) per linear factor, so a full Pochhammer symbol
-costs O(order^2 / M) and stays comfortably fast in pure Python at window
-sizes of a few thousand.
+the one entry point.  Every factor becomes a series with a signed power:
+pairs (x q^a, x q^{M-a}; q^M) and each (q^M; q^M) become sparse theta series
+by the triple product, and the symbols left over split into linear factors
+(1 -+ q^e).  Any series in both the numerator and the denominator cancels.
+A theta series multiplies or divides in O(order * sqrt(order / M)).  A
+linear factor is one pass: a multiply is one map that subtracts or adds the
+series shifted by e from itself, a divide adds or subtracts each block of e
+coefficients into the next.  Both cost O(order), so an unpaired symbol costs
+O(order^2 / M) and stays comfortably fast in pure Python at window sizes of
+a few thousand.
 
 Beyond plain expansion the module knows three classical facts needed by the
 vanishing-coefficient checks:
@@ -159,27 +160,6 @@ def expand_factor(f: PochhammerFactor, order: int) -> LaurentSeries:
     return LaurentSeries(0, coeffs, order)
 
 
-def _linear_passes(coeffs: list[int], numerator, denominator) -> None:
-    """In place, apply the net linear factors (1 -+ q^e) of the quotient in the window.
-
-    A factor of both the numerator and the denominator cancels.  The passes
-    are exact and commute, so the rest run as all multiplies, then all
-    divides, each in ascending (e, sign).
-    """
-    net: Counter[tuple[int, int]] = Counter()
-    for factors, weight in ((numerator, 1), (denominator, -1)):
-        for f in factors:
-            for e in range(f.offset, len(coeffs), f.modulus):
-                net[e, f.arg_sign] += weight
-    passes = sorted(net.items())
-    for (e, sign), n in passes:
-        for _ in range(n):
-            _mul_linear(coeffs, e, sign)
-    for (e, sign), n in passes:
-        for _ in range(-n):
-            _div_linear(coeffs, e, sign)
-
-
 # -- Jacobi triple product ---------------------------------------------------
 
 
@@ -235,10 +215,10 @@ def jtp_product_spec(M: int, a: int) -> ProductSpec:
     return ProductSpec(1, 0, pochhammer((a, M - a, M), M), ())
 
 
-# -- expansion: theta pairs, then the net linear passes ---------------------
+# -- expansion: every factor a series with a signed power --------------------
 
 
-def _mul_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> list[int]:
+def _mul_sparse(coeffs: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
     """coeffs times 1 + sum(c q^e for (e, c) in terms), every e >= 1."""
     out = coeffs[:]
     for e, c in terms:
@@ -258,7 +238,7 @@ def _gather(offsets: list[int]) -> Callable[[list[int]], tuple[int, ...]]:
     return lambda out: ()
 
 
-def _div_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> None:
+def _div_sparse(coeffs: list[int], terms: Sequence[tuple[int, int]]) -> None:
     """In place, divide by 1 + sum(c q^e for (e, c) in terms), e >= 1 ascending.
 
     y_n = x_n - sum(c * y_{n-e}).  The quotient grows in a new list out, one
@@ -282,43 +262,51 @@ def _div_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> None:
     coeffs[:] = out
 
 
-def _split_pairs(factors: Sequence[PochhammerFactor]):
-    """Split a factor list into (unpaired factors, theta pairs, (q^M; q^M) powers).
+def _theta_series(z: int, a: int, M: int, length: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms (e, c), 1 <= e < length, of sum_j z^j q^{M j(j+1)/2 - a j}, ascending.
 
-    A pair (x q^a, x q^{M-a}; q^M) with 0 < a < M is recorded as (-x, a, M):
-    by the triple product it equals sum_j (-x)^j q^{M j(j+1)/2 - a j} divided
-    by (q^M; q^M), so each pair lowers the power of (q^M; q^M) by one and
-    each factor (q^M; q^M) itself raises it by one.
+    For 0 < a < M the constant term is 1, so these are the terms of the
+    series less 1.
+    """
+    return tuple(sorted((e, c) for e, c in _theta_terms(M, a, length, z).items() if e and c))
+
+
+def _split_pairs(factors: Sequence[PochhammerFactor]):
+    """Split a factor list into (unpaired factors, theta series (z, a, M) with their powers).
+
+    A pair (x q^a, x q^{M-a}; q^M) with 0 < a < M equals, by the triple
+    product, sum_j (-x)^j q^{M j(j+1)/2 - a j} divided by (q^M; q^M).  And
+    (q^M; q^M) is itself a theta series, Euler's pentagonal series (-1, M, 3M).
+    So a pair adds 1 to (-x, a, M) and takes 1 from (-1, M, 3M), and a factor
+    (q^M; q^M) adds 1 to (-1, M, 3M).
     """
     pool = Counter((f.arg_sign, f.offset, f.modulus) for f in factors)
-    pairs: list[tuple[int, int, int]] = []
-    powers: Counter[int] = Counter()
+    thetas: Counter[tuple[int, int, int]] = Counter()
     for key in sorted(pool):
         x, a, M = key
         if x == 1 and a == M:
-            powers[M] += pool.pop(key)
+            thetas[-1, M, 3 * M] += pool.pop(key)
         elif 0 < a < M:
             partner = (x, M - a, M)
             n = pool[key] // 2 if partner == key else min(pool[key], pool[partner])
             pool[key] -= n
             pool[partner] -= n
-            pairs += [(-x, a, M)] * n
-            powers[M] -= n
+            thetas[-x, a, M] += n
+            thetas[-1, M, 3 * M] -= n
     unpaired = [PochhammerFactor(*key) for key, n in sorted(pool.items()) for _ in range(n)]
-    return unpaired, pairs, powers
+    return unpaired, thetas
 
 
 def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
     """Exact expansion of the denoted quotient; window [prefactor_exponent, order).
 
-    Pairs (x q^a, x q^{M-a}; q^M) become sparse theta series, the net power of
-    each (q^M; q^M) is applied through Euler's pentagonal series (the theta
-    series of (q^M, q^{2M}, q^{3M}; q^{3M})), and sparse numerators and
-    denominators are multiplied and divided in O(order * sqrt(order / M))
-    each.  The first numerator series is written into the window, since 1
-    times a sparse series is its terms; any further ones are multiplied in.
-    The symbols left over take the net linear passes: each linear factor of
-    both the numerator and the denominator cancels first.
+    Every factor becomes a series with a signed power: a pair or a (q^M; q^M)
+    theta series (see _split_pairs), a linear factor (1 - x q^e) of an unpaired
+    symbol the one term -x q^e.  One Counter keyed by the terms nets them, so
+    any series on both sides cancels.  Multiplies run before divides.  A term
+    c q^e with |c| = 1 takes a linear pass, O(order); any other series a sparse
+    one, O(order * sqrt(order / M)) for a theta series.  The multiply with the
+    most terms, if more than one, is written into the window instead of run.
     """
     length = order - spec.prefactor_exponent
     if length < 0:
@@ -327,30 +315,34 @@ def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
         )
     if length == 0:
         return LaurentSeries(order, (), order)
+    num, thetas = _split_pairs(spec.numerator)
+    den, den_thetas = _split_pairs(spec.denominator)
+    thetas.subtract(den_thetas)
+    net: Counter[tuple[tuple[int, int], ...]] = Counter()
+    for key, n in thetas.items():
+        if n:
+            net[_theta_series(*key, length)] += n
+    for factors, weight in ((num, 1), (den, -1)):
+        for f in factors:
+            for e in range(f.offset, length, f.modulus):
+                net[((e, -f.arg_sign),)] += weight
+    net.pop((), None)
+
     coeffs = [1] + [0] * (length - 1)
-    num, num_pairs, num_powers = _split_pairs(spec.numerator)
-    den, den_pairs, den_powers = _split_pairs(spec.denominator)
-    num_powers.subtract(den_powers)
-    for M, power in sorted(num_powers.items()):
-        pentagonal = [(-1, M, 3 * M)] * abs(power)
-        if power > 0:
-            num_pairs += pentagonal
-        else:
-            den_pairs += pentagonal
-
-    def sparse(z, a, M):
-        return sorted((e, c) for e, c in _theta_terms(M, a, length, z).items() if e and c)
-
-    # every pass is exact and they commute, so the window may start as the
-    # first numerator series instead of 1
-    if num_pairs:
-        for e, c in sparse(*num_pairs.pop()):
+    seed = max((terms for terms, n in net.items() if n > 0), key=len, default=())
+    if len(seed) > 1:
+        net[seed] -= 1
+        for e, c in seed:
             coeffs[e] += c
-    _linear_passes(coeffs, num, den)
-    for pair in num_pairs:
-        coeffs = _mul_sparse(coeffs, sparse(*pair))
-    for pair in den_pairs:
-        _div_sparse(coeffs, sparse(*pair))
+    for terms, n in sorted(net.items(), key=lambda item: item[1] < 0):
+        (e, c), *rest = terms
+        for _ in range(abs(n)):
+            if not rest and abs(c) == 1:
+                (_mul_linear if n > 0 else _div_linear)(coeffs, e, -c)
+            elif n > 0:
+                coeffs = _mul_sparse(coeffs, terms)
+            else:
+                _div_sparse(coeffs, terms)
     return LaurentSeries(0, coeffs, length).monomial_mul(
         spec.prefactor_sign, spec.prefactor_exponent
     )

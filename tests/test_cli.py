@@ -108,7 +108,8 @@ def test_expand_parse_errors_name_the_flag(capsys):
         (("expand", "num=bogus:8"), "num=bogus:8"),
         (("expand", "num=3,5"), "num=3,5"),
         (("expand", "pre=7"), "pre=7"),
-        (("expand", "num=0:8"), "num=0:8"),
+        (("expand", "num=0:8"), "num=0:8: offset must be >= 1, got 0"),
+        (("expand", "num=3:-2"), "num=3:-2: modulus must be >= 1, got -2"),
         (("expand", "orderx"), "orderx"),
         (("expand", "wibble=3"), "wibble"),
         (("expand", "order=3", "order=4"), "order"),

@@ -33,7 +33,7 @@ from qvanish.products import (
     pochhammer,
     verify_1psi1,
 )
-from qvanish.products import _div_linear, _div_sparse, _mul_linear, _mul_sparse, _theta_terms
+from qvanish.products import _div_linear, _div_sparse, _mul_linear, _mul_sparse, _theta_series
 
 
 def quotient(num: tuple[int, ...], den: tuple[int, ...], modulus: int) -> ProductSpec:
@@ -51,20 +51,26 @@ def expand_via_invert(spec: ProductSpec, order: int) -> LaurentSeries:
     return out.monomial_mul(spec.prefactor_sign, spec.prefactor_exponent)
 
 
-def count_linear_passes(monkeypatch) -> dict[str, int]:
-    """Count the _mul_linear and _div_linear calls expand_product makes from now on."""
+def count_passes(monkeypatch, kind: str) -> dict[str, int]:
+    """Count the _mul_<kind> and _div_<kind> calls expand_product makes from now on."""
     calls = {"mul": 0, "div": 0}
 
-    def counted(kernel, key):
-        def run(coeffs, e, sign):
+    def counted(key):
+        kernel = getattr(qvanish.products, f"_{key}_{kind}")
+
+        def run(*args):
             calls[key] += 1
-            kernel(coeffs, e, sign)
+            return kernel(*args)
 
         return run
 
-    monkeypatch.setattr(qvanish.products, "_mul_linear", counted(_mul_linear, "mul"))
-    monkeypatch.setattr(qvanish.products, "_div_linear", counted(_div_linear, "div"))
+    for key in calls:
+        monkeypatch.setattr(qvanish.products, f"_{key}_{kind}", counted(key))
     return calls
+
+
+def count_linear_passes(monkeypatch) -> dict[str, int]:
+    return count_passes(monkeypatch, "linear")
 
 
 # -- factor validation --------------------------------------------------------
@@ -128,11 +134,14 @@ def test_octic_quotient_vanishing_class():
 
 def test_identical_factors_cancel(monkeypatch):
     calls = count_linear_passes(monkeypatch)
+    sparse = count_passes(monkeypatch, "sparse")
     assert expand_product(quotient((1, 2), (1, 2), 5), 40) == 1
     factors = pochhammer((1, 2, 3), 7) + pochhammer((2,), 5, -1) + pochhammer((3, 3), 4)
+    # and a theta pair (q^2, q^5; q^7) and a (q^9; q^9)
+    factors += pochhammer((2, 5), 7) + pochhammer((9,), 9)
     assert expand_product(ProductSpec(1, 0, factors, factors[::-1]), 300) == 1
-    # every linear factor cancels before any pass runs
-    assert calls == {"mul": 0, "div": 0}
+    # every series cancels before any pass runs
+    assert calls == sparse == {"mul": 0, "div": 0}
 
 
 def test_modulus_thirty_quotient():
@@ -202,10 +211,6 @@ def naive_div_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> list[in
     return y
 
 
-def theta_terms(M: int, a: int, n: int, z: int) -> list[tuple[int, int]]:
-    return sorted((e, c) for e, c in _theta_terms(M, a, n, z).items() if e and c)
-
-
 def test_div_sparse_matches_naive_recurrence_and_inverts_mul():
     rng = random.Random(11)
     for n in (0, 1, 3, 9, 40):
@@ -215,9 +220,9 @@ def test_div_sparse_matches_naive_recurrence_and_inverts_mul():
             [(2, 1), (5, -1)],  # one subtracted offset and no added one, then one each
             [(4, 1), (6, -1), (7, 1)],  # a first exponent above 1
             [(5, 2)],  # a window shorter than the first exponent when n < 5
-            theta_terms(6, 3, n, -1),  # the pair (q^3, q^3; q^6): |c| = 2
-            theta_terms(7, 2, n, 1),  # (-q^2, -q^5; q^7): every term subtracted
-            theta_terms(9, 4, n, -1),
+            _theta_series(-1, 3, 6, n),  # the pair (q^3, q^3; q^6): |c| = 2
+            _theta_series(1, 2, 7, n),  # (-q^2, -q^5; q^7): every term subtracted
+            _theta_series(-1, 4, 9, n),
         ):
             for big in (False, True):
                 x = [rng.randrange(-50, 51) for _ in range(n)]
@@ -315,7 +320,7 @@ def test_paired_expansion_matches_linear_on_family_quotients(linear_expand):
         bilateral_product_spec(BilateralSpecialization(3, 3, 2, 1)),  # negative prefactor
         jtp_product_spec(12, 5),
         quotient((), (1, 29, 30), 30),  # partitions into parts 0, +-1 mod 30
-        quotient((4, 4), (8,), 8),  # a = M/2 pairs with itself
+        quotient((4, 4), (8,), 8),  # a = M/2 pairs with itself; order 10 leaves -2q^4
         quotient((1, 2, 3), (1, 2), 7),  # unpaired factors only
         # (q, -q^4; q^5) and (q^3, -q^3; q^6): a pair shares its sign, so none here
         ProductSpec(
@@ -326,7 +331,7 @@ def test_paired_expansion_matches_linear_on_family_quotients(linear_expand):
         ),
     ]
     for spec in specs:
-        for order in (0, 1, 60, 301):
+        for order in (0, 1, 10, 60, 301):
             if order >= spec.prefactor_exponent:
                 assert expand_product(spec, order) == linear_expand(spec, order), spec
 

@@ -12,12 +12,14 @@ is 1.
 
 For each end-to-end metric that ``BENCHMARK.json`` names, the report gives
 each side's median with its quartiles, the ratio of the medians (HEAD over
-BASE), and the pairs in which HEAD is better (ties count for neither).  A
-metric is marked ``claim`` only when HEAD wins at least nine tenths of the
-pairs and the medians differ by more than BASE's interquartile range; it is
-marked ``over bound`` when HEAD's median is worse than BASE's by more than
-the metric's bound.  ``--out`` writes both commits, the Python version, the
-CPU count and every per-pair value as JSON.
+BASE), the pairs in which HEAD is better (ties count for neither), and the
+exact two-sided sign-test p over the pairs that are not tied.  A metric is
+marked ``claim`` only when HEAD wins at least nine tenths of the pairs and
+the medians differ by more than BASE's interquartile range; it is marked
+``over bound`` when HEAD's median is worse than BASE's by more than the
+metric's bound.  ``--out`` writes both commits, the Python version, the CPU
+count, ``sys.flags.dont_write_bytecode``, the median wall time of five bare
+``python -c pass`` starts, and every per-pair value as JSON.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from math import comb
 from pathlib import Path
-from statistics import quantiles
+from statistics import median, quantiles
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,13 +73,31 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return tuple(quantiles(values, n=4, method="inclusive"))
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p of wins against losses (tied pairs already left out)."""
+    n = wins + losses
+    tail = sum(comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
+def bare_start_s(runs: int = 5) -> float:
+    """Median wall seconds of a bare ``python -c pass`` start: what the host adds to a child."""
+    times = []
+    for _ in range(runs):
+        t0 = perf_counter()
+        subprocess.run([sys.executable, "-c", "pass"], check=True)
+        times.append(perf_counter() - t0)
+    return median(times)
+
+
 def cell(q1: float, m: float, q3: float) -> str:
     return f"{m:.4g} [{q1:.4g}-{q3:.4g}]"
 
 
 def report(metrics: list[dict], pairs: list[dict]) -> None:
     n = len(pairs)
-    print(f"{'metric':14s} {'base median [q1-q3]':32s} {'head median [q1-q3]':32s} ratio   wins")
+    print(f"{'metric':14s} {'base median [q1-q3]':32s} {'head median [q1-q3]':32s} "
+          "ratio   wins    sign p")
     for metric in metrics:
         name = metric["name"]
         if name not in pairs[0]["base"]:
@@ -84,6 +106,7 @@ def report(metrics: list[dict], pairs: list[dict]) -> None:
         head = [p["head"][name] for p in pairs]
         lower = metric["better"] == "lower"
         wins = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
+        losses = sum((h > b) if lower else (h < b) for b, h in zip(base, head))
         base_q, head_q = spread(base), spread(head)
         (b1, bm, b3), hm = base_q, head_q[1]
         ratio = hm / bm if bm else float("nan")
@@ -94,7 +117,7 @@ def report(metrics: list[dict], pairs: list[dict]) -> None:
         if worse > metric["bound"]:
             marks.append("over bound")
         print(f"{name:14s} {cell(*base_q):32s} {cell(*head_q):32s} {ratio:5.3f} "
-              f"{wins:>3d}/{n:<3d} {' '.join(marks)}")
+              f"{wins:>3d}/{n:<3d} {sign_test_p(wins, losses):6.4f} {' '.join(marks)}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,6 +158,8 @@ def main(argv: list[str] | None = None) -> int:
             "seconds": args.seconds,
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+            "bare_start_s": bare_start_s(),
             "pairs": pairs,
         }
         args.out.write_text(json.dumps(record, indent=1) + "\n")

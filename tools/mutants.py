@@ -63,8 +63,8 @@ MUTANTS = (
     Mutant(
         "linear cancellation keyed without the sign",
         PRODUCTS,
-        "net[e, f.arg_sign] += weight",
-        "net[e, 1] += weight",
+        "net[((e, -f.arg_sign),)] += weight",
+        "net[((e, -1),)] += weight",
         ("tests/test_products.py",),
     ),
     Mutant(
@@ -89,17 +89,17 @@ MUTANTS = (
         ("tests/test_products.py",),
     ),
     Mutant(
-        "first numerator series seeded with the wrong sign",
+        "seeded series written with the wrong sign",
         PRODUCTS,
         "coeffs[e] += c",
         "coeffs[e] -= c",
         ("tests/test_products.py",),
     ),
     Mutant(
-        "first numerator series both seeded and multiplied",
+        "seeded series also run as a multiply",
         PRODUCTS,
-        "num_pairs.pop()",
-        "num_pairs[-1]",
+        "net[seed] -= 1",
+        "net[seed] -= 0",
         ("tests/test_products.py",),
     ),
     Mutant(
@@ -140,8 +140,8 @@ MUTANTS = (
     Mutant(
         "one divide per negative count",
         PRODUCTS,
-        "for _ in range(-n):",
-        "for _ in range(min(-n, 1)):",
+        "for _ in range(abs(n)):",
+        "for _ in range(n if n > 0 else min(-n, 1)):",
         ("tests/test_products.py",),
     ),
     Mutant(
@@ -184,6 +184,27 @@ MUTANTS = (
         PRODUCTS,
         "partner = (x, M - a, M)",
         "partner = (-x, M - a, M)",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "pentagonal key of a (q^M; q^M) factor with modulus 2M",
+        PRODUCTS,
+        "thetas[-1, M, 3 * M] += pool.pop(key)",
+        "thetas[-1, M, 2 * M] += pool.pop(key)",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "a pair does not debit (q^M; q^M)",
+        PRODUCTS,
+        "thetas[-1, M, 3 * M] -= n",
+        "thetas[-1, M, 3 * M] -= 0",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "one-term series with |c| > 1 takes a linear pass",
+        PRODUCTS,
+        "if not rest and abs(c) == 1:",
+        "if not rest:",
         ("tests/test_products.py",),
     ),
     Mutant(
