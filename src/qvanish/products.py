@@ -6,16 +6,35 @@ The objects here are quotients of q-Pochhammer symbols
 
 truncated to a finite exponent window.  A finite product needs no form of
 its own: (x; q^M)_N = (x; q^M)_inf / (x q^{NM}; q^M)_inf.  expand_product is
-the one entry point.  Every factor becomes a series with a signed power:
-pairs (x q^a, x q^{M-a}; q^M) and each (q^M; q^M) become sparse theta series
-by the triple product, and the symbols left over split into linear factors
-(1 -+ q^e).  Any series in both the numerator and the denominator cancels.
-A theta series multiplies or divides in O(order * sqrt(order / M)).  A
-linear factor is one pass: a multiply is one map that subtracts or adds the
-series shifted by e from itself, a divide adds or subtracts each block of e
-coefficients into the next.  Both cost O(order), so an unpaired symbol costs
-O(order^2 / M) and stays comfortably fast in pure Python at window sizes of
-a few thousand.
+the one entry point.  Every factor becomes a key with a signed power: pairs
+(x q^a, x q^{M-a}; q^M) and each (q^M; q^M) become sparse theta series by the
+triple product, and any symbol left over stays whole.  Any series or symbol
+in both the numerator and the denominator cancels.  A theta series
+multiplies or divides in O(order * sqrt(order / M)).
+
+A linear factor (1 -+ q^e) is one pass: a multiply is one map that subtracts
+or adds the series shifted by e from itself, a divide adds or subtracts each
+block of e coefficients into the next.  Both cost O(order).  A whole symbol,
+p = q^M, multiplies by Euler's series and divides by Cauchy's:
+
+    (x; p)_inf   = sum_{n>=0} (-x)^n p^{n(n-1)/2} / (p; p)_n,
+    1/(x; p)_inf = sum_{n>=0} x^n p^{n^2-n} / ((p; p)_n (x; p)_n).
+
+Each is applied by Horner nesting from the deepest level out: R_{n-1} =
+C + t_n R_n, with t_n = -x p^{n-1} / (1 - p^n) for Euler's series and
+t_n = x p^{2(n-1)} / ((1 - p^n)(1 - x p^{n-1})) for Cauchy's, C the series
+it applies to and R_0 the result.  Level n is needed only on the first
+length - E_n coefficients, E_n = a n + M n(n-1)/2 (Euler) or a n + M n(n-1)
+(Cauchy), so a symbol takes about sqrt(2 order / M) or sqrt(order / M)
+levels of one or two divide passes and one slice add each:
+O(order * sqrt(order / M)).
+
+Finite products keep their linear cost.  A symbol (x; q^M) and the nearest
+(x q^{NM}; q^M), N >= 1, on the other side make (x; q^M)_N, whose head is its
+N linear factors below the window; a symbol with no such partner has all
+its linear factors below the window as its head.  The head's linear factors
+replace the symbol and its partner whenever they are no more than the
+Horner passes the two would take: one per Euler level, two per Cauchy level.
 
 Beyond plain expansion the module knows three classical facts needed by the
 vanishing-coefficient checks:
@@ -36,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import count
 from math import isqrt
-from operator import add, itemgetter, sub
+from operator import add, attrgetter, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import Degenerate, InvalidParams, at_least
@@ -272,7 +291,7 @@ def _theta_series(z: int, a: int, M: int, length: int) -> tuple[tuple[int, int],
 
 
 def _split_pairs(factors: Sequence[PochhammerFactor]):
-    """Split a factor list into (unpaired factors, theta series (z, a, M) with their powers).
+    """Split a factor list into (unpaired (x, a, M), theta series (z, a, M)), each with its power.
 
     A pair (x q^a, x q^{M-a}; q^M) with 0 < a < M equals, by the triple
     product, sum_j (-x)^j q^{M j(j+1)/2 - a j} divided by (q^M; q^M).  And
@@ -293,20 +312,85 @@ def _split_pairs(factors: Sequence[PochhammerFactor]):
             pool[partner] -= n
             thetas[-x, a, M] += n
             thetas[-1, M, 3 * M] -= n
-    unpaired = [PochhammerFactor(*key) for key, n in sorted(pool.items()) for _ in range(n)]
-    return unpaired, thetas
+    return pool, thetas
+
+
+def _windows(f: PochhammerFactor, divide: bool, length: int) -> list[int]:
+    """length - E_n for the levels n = 0, 1, ... of Euler's (or to divide, Cauchy's) series for f.
+
+    Only levels whose window is not empty are listed.
+    """
+    step = f.modulus * (2 if divide else 1)
+    windows, w, d = [], length, f.offset
+    while w > 0:
+        windows.append(w)
+        w, d = w - d, d + step
+    return windows
+
+
+def _passes(f: PochhammerFactor, divide: bool, length: int) -> int:
+    """The linear passes _horner makes: one per Euler level, two per Cauchy level."""
+    return (len(_windows(f, divide, length)) - 1) * (1 + divide)
+
+
+def _horner(coeffs: list[int], f: PochhammerFactor, divide: bool) -> list[int]:
+    """coeffs times f by Euler's series, or divided by f by Cauchy's, by Horner nesting."""
+    x, a, M = f.arg_sign, f.offset, f.modulus
+    windows = _windows(f, divide, len(coeffs))
+    op = add if (x if divide else -x) > 0 else sub
+    r = coeffs[: windows[-1]]
+    for n in range(len(windows) - 1, 0, -1):
+        _div_linear(r, M * n, 1)
+        if divide:
+            _div_linear(r, a + M * (n - 1), x)
+        outer = coeffs[: windows[n - 1]]
+        shift = windows[n - 1] - windows[n]
+        outer[shift:] = map(op, outer[shift:], r)
+        r = outer
+    return r
+
+
+def _net_finite_products(net: Counter, length: int) -> None:
+    """In net, trade each symbol, with its partner if any, for its head's linear keys when cheaper.
+
+    The rule is the module docstring's finite-product rule; symbols are
+    visited by ascending offset.
+    """
+    symbols = sorted((f for f in net if isinstance(f, PochhammerFactor)), key=attrgetter("offset"))
+    for i, f in enumerate(symbols):
+        n = net[f]
+        if not n:
+            continue
+        x, a, M = f.arg_sign, f.offset, f.modulus
+        tail = next(
+            (g for g in symbols[i + 1 :]
+             if net[g] * n < 0 and (g.arg_sign, g.modulus, g.offset % M) == (x, M, a % M)),
+            None,
+        )
+        head, k, passes = range(a, length, M), n, _passes(f, n < 0, length)
+        if tail is not None:
+            head = range(a, min(tail.offset, length), M)
+            k = min(n, -net[tail]) if n > 0 else max(n, -net[tail])
+            passes += _passes(tail, n > 0, length)
+        if len(head) <= passes:
+            net[f] -= k
+            if tail is not None:
+                net[tail] += k
+            for e in head:
+                net[((e, -x),)] += k
 
 
 def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
     """Exact expansion of the denoted quotient; window [prefactor_exponent, order).
 
-    Every factor becomes a series with a signed power: a pair or a (q^M; q^M)
-    theta series (see _split_pairs), a linear factor (1 - x q^e) of an unpaired
-    symbol the one term -x q^e.  One Counter keyed by the terms nets them, so
-    any series on both sides cancels.  Multiplies run before divides.  A term
-    c q^e with |c| = 1 takes a linear pass, O(order); any other series a sparse
-    one, O(order * sqrt(order / M)) for a theta series.  The multiply with the
-    most terms, if more than one, is written into the window instead of run.
+    Every factor becomes a key with a signed power in one Counter: a pair or a
+    (q^M; q^M) the terms of its theta series (see _split_pairs), any other
+    symbol itself, traded for the terms of its linear factors by
+    _net_finite_products where that is cheaper.  So any series or symbol on
+    both sides cancels.  Multiplies run before divides.  A term c q^e with
+    |c| = 1 takes a linear pass, a symbol _horner, any other series a sparse
+    pass.  The multiply with the most terms, if more than one, is written into
+    the window instead of run.
     """
     length = order - spec.prefactor_exponent
     if length < 0:
@@ -318,31 +402,34 @@ def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
     num, thetas = _split_pairs(spec.numerator)
     den, den_thetas = _split_pairs(spec.denominator)
     thetas.subtract(den_thetas)
-    net: Counter[tuple[tuple[int, int], ...]] = Counter()
+    net: Counter = Counter()
     for key, n in thetas.items():
         if n:
             net[_theta_series(*key, length)] += n
-    for factors, weight in ((num, 1), (den, -1)):
-        for f in factors:
-            for e in range(f.offset, length, f.modulus):
-                net[((e, -f.arg_sign),)] += weight
+    for pool, weight in ((num, 1), (den, -1)):
+        for key, n in pool.items():
+            if n:
+                net[PochhammerFactor(*key)] += weight * n
+    _net_finite_products(net, length)
     net.pop((), None)
 
     coeffs = [1] + [0] * (length - 1)
-    seed = max((terms for terms, n in net.items() if n > 0), key=len, default=())
+    series = (key for key, n in net.items() if n > 0 and isinstance(key, tuple))
+    seed = max(series, key=len, default=())
     if len(seed) > 1:
         net[seed] -= 1
         for e, c in seed:
             coeffs[e] += c
-    for terms, n in sorted(net.items(), key=lambda item: item[1] < 0):
-        (e, c), *rest = terms
+    for key, n in sorted(net.items(), key=lambda item: item[1] < 0):
         for _ in range(abs(n)):
-            if not rest and abs(c) == 1:
-                (_mul_linear if n > 0 else _div_linear)(coeffs, e, -c)
+            if isinstance(key, PochhammerFactor):
+                coeffs = _horner(coeffs, key, n < 0)
+            elif len(key) == 1 and abs(key[0][1]) == 1:
+                (_mul_linear if n > 0 else _div_linear)(coeffs, key[0][0], -key[0][1])
             elif n > 0:
-                coeffs = _mul_sparse(coeffs, terms)
+                coeffs = _mul_sparse(coeffs, key)
             else:
-                _div_sparse(coeffs, terms)
+                _div_sparse(coeffs, key)
     return LaurentSeries(0, coeffs, length).monomial_mul(
         spec.prefactor_sign, spec.prefactor_exponent
     )

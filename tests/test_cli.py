@@ -119,6 +119,15 @@ def test_expand_parse_errors_name_the_flag(capsys):
         assert fragment in err
 
 
+def test_non_integer_values_are_usage_errors(capsys):
+    assert run(capsys, "expand", "num=1:2", "order=abc") == (
+        2, "", "error: order='abc' is not an integer\n"
+    )
+    assert run(capsys, "scan", "family=plus", "k=2..x") == (
+        2, "", "error: k='2..x' is not an integer or LO..HI range\n"
+    )
+
+
 def test_verify_families(capsys):
     code, out, _ = run(capsys, "verify", "family=plus", "m=2", "k=15", "s=0", "t=1", "order=600")
     assert code == 0

@@ -93,6 +93,13 @@ def test_product_spec_invariants():
     assert str(quotient((3, 5), (1, 7), 8)) == "(q^3; q^8)*(q^5; q^8) / (q; q^8)*(q^7; q^8)"
 
 
+def test_spec_str_shows_argument_sign_and_prefactor():
+    spec = ProductSpec(-1, 3, pochhammer((1,), 2, -1), pochhammer((4,), 5))
+    assert str(spec) == "-q^3*(-q; q^2) / (q^4; q^5)"
+    assert str(ProductSpec(1, -2, (), pochhammer((2,), 3, -1))) == "q^-2*1 / (-q^2; q^3)"
+    assert str(ProductSpec(-1, 0, (), ())) == "-1"
+
+
 # -- expand_factor ------------------------------------------------------------
 
 
@@ -367,27 +374,101 @@ def test_paired_expansion_cap(linear_expand):
         expand_product(ProductSpec(1, 5, (), ()), 4)
 
 
-# -- cancelled linear factors ----------------------------------------------------
+# -- whole symbols: Euler's and Cauchy's series ------------------------------------
 
 
-def linear_factor_count(factors, order: int) -> int:
-    return sum(len(range(f.offset, order, f.modulus)) for f in factors)
+def levels(f: PochhammerFactor, order: int, cauchy: bool) -> int:
+    """The n >= 1 whose term x^n p^{n(n-1)/2} (Euler) or x^n p^{n(n-1)} (Cauchy) is below order."""
+    step = f.modulus * (2 if cauchy else 1)
+    return sum(1 for n in range(1, order + 1) if f.offset * n + step * n * (n - 1) // 2 < order)
 
 
-def test_mixed_moduli_quotients_cancel_shared_factors(monkeypatch, linear_expand):
+def test_mixed_moduli_quotients_take_one_divide_pass_per_level(monkeypatch, linear_expand):
     # (1,2,3)|(4,5,6) mod 7 over (1,2)|(3,4) mod 5 and (3)|(1) mod 4: no
-    # symbol pairs, but many linear factors sit on both sides
+    # symbol pairs, so each is one series, one divide pass per Euler level
+    # and two per Cauchy level, and no multiply pass at all
     calls = count_linear_passes(monkeypatch)
     for seven, five, four in product(((1, 2, 3), (4, 5, 6)), ((1, 2), (3, 4)), ((3,), (1,))):
         spec = ProductSpec(1, 0, pochhammer(seven, 7), pochhammer(five, 5) + pochhammer(four, 4))
         calls.update(mul=0, div=0)
         assert expand_product(spec, 600) == linear_expand(spec, 600), spec
-        cancelled = linear_factor_count(spec.numerator, 600) - calls["mul"]
-        assert cancelled == linear_factor_count(spec.denominator, 600) - calls["div"] > 0
+        euler = [levels(f, 600, False) for f in spec.numerator]
+        cauchy = [levels(f, 600, True) for f in spec.denominator]
+        assert calls == {"mul": 0, "div": sum(euler) + 2 * sum(cauchy)}, spec
         if (seven, five, four) == ((1, 2, 3), (1, 2), (3,)):
-            assert linear_factor_count(spec.numerator, 600) == 258
-            assert linear_factor_count(spec.denominator, 600) == 390
-            assert calls == {"mul": 115, "div": 247}
+            assert (euler, cauchy) == ([13, 13, 13], [11, 11, 12])
+            assert calls["div"] == 107
+
+
+def test_generic_quotient_intermediates_stay_as_wide_as_the_result(monkeypatch):
+    # Horner levels are partial sums of the series; none may grow far past
+    # the final coefficients, or each pass would cost more than it should
+    widest = 0
+    div_linear = qvanish.products._div_linear
+
+    def measured(coeffs, e, sign):
+        nonlocal widest
+        div_linear(coeffs, e, sign)
+        widest = max(widest, max(map(abs, coeffs), default=0).bit_length())
+
+    monkeypatch.setattr(qvanish.products, "_div_linear", measured)
+    spec = ProductSpec(1, 0, pochhammer((4, 5, 6), 7), pochhammer((1, 2), 5) + pochhammer((1,), 4))
+    final = max(map(abs, expand_product(spec, 3000).coeffs)).bit_length()
+    assert 80 < final <= widest <= final + 8
+
+
+def test_capped_symbol_keeps_one_linear_pass_per_part(monkeypatch):
+    # parts 1, 3, 5, 7: 1/((1-q)(1-q^3)(1-q^5)(1-q^7)), four divide passes and
+    # no Horner level; with sign flipped, (1+q)(1+q^3)(1+q^5)(1+q^7)
+    calls = count_linear_passes(monkeypatch)
+    sparse = count_passes(monkeypatch, "sparse")
+    for spec, passes in (
+        (RestrictedPartitionSpec(2, {1}, max_part=7), {"mul": 0, "div": 4}),
+        (RestrictedPartitionSpec(2, (), {1}, max_part=7), {"mul": 4, "div": 0}),
+    ):
+        calls.update(mul=0, div=0)
+        table = count_restricted_table(spec, 3000)
+        assert calls == passes and sparse == {"mul": 0, "div": 0}, spec
+        assert table[:8] == ([1, 1, 1, 2, 2, 3, 4, 5] if passes["div"] else [1, 1, 0, 1, 1, 1, 1, 1])
+
+
+def test_capped_symbol_takes_linear_passes_up_to_its_horner_passes(monkeypatch, linear_expand):
+    # distinct odd parts up to the cap, below q^60: (-q; q^2) over its tail
+    # (-q^{cap+2}; q^2) take 7 Euler levels and 2 Cauchy levels, 11 passes;
+    # cap 21 leaves 11 linear factors, just as many, cap 23 leaves 12
+    for cap, passes in ((21, {"mul": 11, "div": 0}), (23, {"mul": 0, "div": 11})):
+        head, tail = PochhammerFactor(-1, 1, 2), PochhammerFactor(-1, cap + 2, 2)
+        assert levels(head, 60, False) + 2 * levels(tail, 60, True) == 11
+        calls = count_linear_passes(monkeypatch)
+        table = count_restricted_table(RestrictedPartitionSpec(2, (), {1}, max_part=cap), 59)
+        assert calls == passes, cap
+        assert table == list(linear_expand(ProductSpec(1, 0, (head,), (tail,)), 60).coeffs)
+    # a symbol with one linear factor below the window: one pass, no more than
+    # its one Euler or Cauchy level
+    f = PochhammerFactor(1, 3, 4)
+    for sides, passes in ((((f,), ()), {"mul": 1, "div": 0}), (((), (f,)), {"mul": 0, "div": 1})):
+        spec = ProductSpec(1, 0, *sides)
+        calls = count_linear_passes(monkeypatch)
+        assert expand_product(spec, 5) == linear_expand(spec, 5)
+        assert calls == passes
+
+
+def test_pairing_rules_leave_no_symbol_behind(monkeypatch):
+    calls = count_linear_passes(monkeypatch)
+    sparse = count_passes(monkeypatch, "sparse")
+    # a (q^7; q^7) factor is Euler's pentagonal series: one theta series over
+    # the pentagonal series squared, no symbol
+    assert expand_product(ProductSpec(1, 0, pochhammer((3, 4), 7), pochhammer((7,), 7)), 200)
+    assert calls == {"mul": 0, "div": 0} and sparse == {"mul": 0, "div": 2}
+    # (q; q^2)^2 pairs with itself: the pentagonal series is written into the
+    # window and the theta series divides it, once
+    sparse.update(mul=0, div=0)
+    assert expand_product(ProductSpec(1, 0, (), pochhammer((1, 1), 2)), 200)
+    assert calls == {"mul": 0, "div": 0} and sparse == {"mul": 0, "div": 1}
+    # so does (q^4; q^8)^2
+    sparse.update(mul=0, div=0)
+    assert expand_product(ProductSpec(1, 0, (), pochhammer((4, 4), 8)), 200)
+    assert calls == {"mul": 0, "div": 0} and sparse == {"mul": 0, "div": 1}
 
 
 def test_pair_plus_cancelling_symbol_with_prefactor(linear_expand):

@@ -98,6 +98,15 @@ def test_monomial_and_one():
     assert all(m[e] == 0 for e in range(4, 8))
     assert LaurentSeries.one(6) == 1
     assert LaurentSeries(0, (0,) * 6, 6) == 0
+    # an empty or negative window knows no coefficient, not even the constant
+    for order in (0, -3):
+        empty = LaurentSeries.one(order)
+        assert (empty.valuation, list(empty.coeffs), empty.order) == (order, [], order)
+
+
+def test_monomial_mul_rejects_a_bad_sign():
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1, got 2$"):
+        LaurentSeries.one(3).monomial_mul(2, 1)
 
 
 # -- addition -----------------------------------------------------------------
@@ -126,6 +135,11 @@ def test_int_addition_both_sides():
     a = poly(4, 1, order=5)
     assert a + 1 == 1 + a
     assert (a - 4).true_valuation() == 1
+
+
+def test_int_minus_series():
+    d = 5 - LaurentSeries(0, (1, 2, 3), 3)
+    assert (d.valuation, list(d.coeffs), d.order) == (0, [4, -2, -3], 3)
 
 
 # -- multiplication -----------------------------------------------------------
@@ -311,6 +325,12 @@ def test_q_string():
     s = LaurentSeries(-1, (2, 1, 0, -1), 3)
     assert s.q_string() == "2*q^-1 + 1 - q^2 + O(q^3)"
     assert LaurentSeries(0, (0,) * 4, 4).q_string() == "0 + O(q^4)"
+
+
+def test_q_string_stops_after_max_terms():
+    assert LaurentSeries(0, (1,) * 6, 6).q_string(3) == "1 + q + q^2 + ... + O(q^6)"
+    # exactly max_terms nonzero terms: nothing left out, no ellipsis
+    assert LaurentSeries(0, (1, 0, 1, 0, 1, 0), 6).q_string(3) == "1 + q^2 + q^4 + O(q^6)"
 
 
 # -- randomized ring properties -------------------------------------------------

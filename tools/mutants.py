@@ -61,10 +61,52 @@ MUTANTS = (
         ("tests/test_vanishing.py",),
     ),
     Mutant(
-        "linear cancellation keyed without the sign",
+        "symbol keyed without its argument sign",
         PRODUCTS,
-        "net[((e, -f.arg_sign),)] += weight",
-        "net[((e, -1),)] += weight",
+        "net[PochhammerFactor(*key)] += weight * n",
+        "net[PochhammerFactor(1, *key[1:])] += weight * n",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "Euler level shift off by M",
+        PRODUCTS,
+        "windows, w, d = [], length, f.offset\n",
+        "windows, w, d = [], length, f.offset + (not divide) * f.modulus\n",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "Euler level multiplies by x, not -x",
+        PRODUCTS,
+        "(x if divide else -x)",
+        "(x if divide else x)",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "deepest level's window one coefficient short",
+        PRODUCTS,
+        "r = coeffs[: windows[-1]]",
+        "r = coeffs[: windows[-1] - 1]",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "a level that reaches only the last coefficient dropped",
+        PRODUCTS,
+        "while w > 0:",
+        "while w > 1:",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "Cauchy level without its divisor (1 - x q^{M(n-1)})",
+        PRODUCTS,
+        "_div_linear(r, a + M * (n - 1), x)",
+        "pass",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "finite-product rule sends a tie to Horner",
+        PRODUCTS,
+        "if len(head) <= passes:",
+        "if len(head) < passes:",
         ("tests/test_products.py",),
     ),
     Mutant(
@@ -203,8 +245,29 @@ MUTANTS = (
     Mutant(
         "one-term series with |c| > 1 takes a linear pass",
         PRODUCTS,
-        "if not rest and abs(c) == 1:",
-        "if not rest:",
+        "elif len(key) == 1 and abs(key[0][1]) == 1:",
+        "elif len(key) == 1:",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "(q^M; q^M) left a symbol, not the pentagonal series",
+        PRODUCTS,
+        "if x == 1 and a == M:",
+        "if x == 2 and a == M:",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "a = 1 symbols never pair",
+        PRODUCTS,
+        "elif 0 < a < M:",
+        "elif 1 < a < M:",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "a squared (x q^{M/2}; q^M) does not pair with itself",
+        PRODUCTS,
+        "n = pool[key] // 2 if partner == key",
+        "n = pool[key] // 3 if partner == key",
         ("tests/test_products.py",),
     ),
     Mutant(
