@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
 import pickle
@@ -15,13 +16,20 @@ import pytest
 import qvanish
 from qvanish import InvalidParams, LaurentSeries
 from qvanish.products import (
+    BilateralSpecialization,
+    IdentityCheck,
     PochhammerFactor,
     ProductSpec,
     expand_factor,
     expand_product,
     pochhammer,
 )
-from qvanish.partitions import Partition, RestrictedPartitionSpec
+from qvanish.partitions import (
+    ParityIdentityReport,
+    Partition,
+    RestrictedPartitionSpec,
+    SignedTerm,
+)
 from qvanish.vanishing import (
     FAMILIES,
     AlladiGordonParams,
@@ -35,6 +43,12 @@ from qvanish.vanishing import (
     verify_vanishing,
     zero_class,
 )
+
+replace = dataclasses.replace
+
+
+def _fields(cls):
+    return [f.name for f in dataclasses.fields(cls)]
 
 
 # -- parameter validation ------------------------------------------------------
@@ -315,24 +329,106 @@ def test_paired_expansion_equals_linear_on_every_grid_tuple(linear_expand):
     assert checked == 31 + 1288  # ab; then plus, minus and ag together
 
 
+# one value of each of the package's value types, and its exact repr; the
+# dict-valued types have no hash
+_EMPTY_SPEC = ProductSpec(1, 0, (), ())
+VALUE_TYPES = [
+    (PochhammerFactor, (-1, 2, 7), True, "PochhammerFactor(arg_sign=-1, offset=2, modulus=7)"),
+    (
+        ProductSpec,
+        (-1, -3, [PochhammerFactor(1, 2, 7)], ()),
+        True,
+        "ProductSpec(prefactor_sign=-1, prefactor_exponent=-3, "
+        "numerator=(PochhammerFactor(arg_sign=1, offset=2, modulus=7),), denominator=())",
+    ),
+    (BilateralSpecialization, (3, 5, 2, 1), True, "BilateralSpecialization(m=3, k=5, t=2, r=1)"),
+    (IdentityCheck, (True,), True, "IdentityCheck(ok=True, exponent=None, lhs=None, rhs=None)"),
+    (IdentityCheck, (False, 4, -1, 2), True, "IdentityCheck(ok=False, exponent=4, lhs=-1, rhs=2)"),
+    (ResidueClass, (5, 7), True, "ResidueClass(modulus=5, residue=2)"),
+    (
+        ShiftedQuotientParams,
+        (3, 5, 2, 1),
+        True,
+        "ShiftedQuotientParams(m=3, k=5, s=2, t=1, sign='plus')",
+    ),
+    (AndrewsBressoudParams, (4, 3), True, "AndrewsBressoudParams(k=4, r=3)"),
+    (AlladiGordonParams, (2, 5, 3, "minus"), True, "AlladiGordonParams(m=2, k=5, s=3, sign='minus')"),
+    (
+        VanishingReport,
+        ("ab", {"k": 4, "r": 3}, 1, _EMPTY_SPEC, 10, ResidueClass(4, 1), ((2, -1),),
+         (ResidueClass(4, 3),)),
+        False,
+        "VanishingReport(family='ab', params={'k': 4, 'r': 3}, r=1, "
+        "spec=ProductSpec(prefactor_sign=1, prefactor_exponent=0, numerator=(), denominator=()), "
+        "order=10, zero_class=ResidueClass(modulus=4, residue=1), violations=((2, -1),), "
+        "observed_zero_classes=(ResidueClass(modulus=4, residue=3),))",
+    ),
+    (
+        ScanResult,
+        ((), (({"k": 2, "r": 1}, "bad"),)),
+        False,
+        "ScanResult(reports=(), skipped=(({'k': 2, 'r': 1}, 'bad'),))",
+    ),
+    (ScanResult, ((), ()), True, "ScanResult(reports=(), skipped=())"),
+    (
+        RestrictedPartitionSpec,
+        (30, [0, 1], {7}, 40),
+        True,
+        "RestrictedPartitionSpec(modulus=30, repeatable_residues=frozenset({0, 1}), "
+        "distinct_residues=frozenset({7}), max_part=40)",
+    ),
+    (Partition, ([17, 2, 13, 17],), True, "Partition(parts=(2, 13, 17, 17))"),
+    (SignedTerm, (-1, 12, 5, -5), True, "SignedTerm(j=-1, argument=12, count=5, signed=-5)"),
+    (
+        ParityIdentityReport,
+        ({"m": 3}, ResidueClass(5, 1), 20, ((6, 1, 2),)),
+        False,
+        "ParityIdentityReport(params={'m': 3}, residue_class=ResidueClass(modulus=5, residue=1), "
+        "n_max=20, violations=((6, 1, 2),))",
+    ),
+]
+
+
 def test_value_types_are_frozen_slotted_and_picklable():
-    params = ShiftedQuotientParams(3, 5, 2, 1, "minus")
-    report = verify_vanishing(params, 120)
-    values = [
-        (params, "m"),
-        (AndrewsBressoudParams(4, 3), "k"),
-        (AlladiGordonParams(2, 5, 3, "minus"), "s"),
-        (report.spec, "prefactor_exponent"),
-        (report, "order"),
-        (RestrictedPartitionSpec(30, {0, 1}, {7}, 40), "modulus"),
-        (Partition((2, 13, 17, 17)), "parts"),
-    ]
-    for value, field in values:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, field, 0)
+    assert len({cls for cls, *_ in VALUE_TYPES}) == 14
+    for cls, args, hashable, expected in VALUE_TYPES:
+        value, again = cls(*args), cls(*args)
+        assert repr(value) == expected
+        names = _fields(cls)
+        # the field list is the constructor's parameter list
+        assert names == list(inspect.signature(cls).parameters), expected
+        state = tuple(getattr(value, name) for name in names)
+        assert value == again and not value != again, expected
+        # equal only to the same type: not to the tuple of its fields, nor to a
+        # subclass that holds the same fields
+        twin = type(cls.__name__, (cls,), {"__slots__": ()})(*args)
+        assert value != state and state != value
+        assert value != twin and twin != value
+        if hashable:
+            assert hash(value) == hash(again) == hash(state)
+        else:
+            with pytest.raises(TypeError):
+                hash(value)
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
         assert not hasattr(value, "__dict__")
         # scan --jobs sends params to its workers and reports back by pickle
-        assert pickle.loads(pickle.dumps(value)) == value
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is cls and copy == value and repr(copy) == expected
+
+
+def test_replace_validates_the_new_value():
+    with pytest.raises(InvalidParams):
+        replace(RestrictedPartitionSpec(30, {0, 1}), max_part=0)
+    assert replace(ResidueClass(5, 2), residue=7).residue == 2
+    spec = RestrictedPartitionSpec(30, {0, 1})
+    assert replace(spec, max_part=9) == RestrictedPartitionSpec(30, {0, 1}, max_part=9)
+    assert spec.max_part is None
+    with pytest.raises(TypeError):
+        replace(spec, cap=9)
 
 
 # -- report shape ----------------------------------------------------------------
