@@ -26,7 +26,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields
 from typing import NamedTuple
 
 from .errors import InvalidParams, TooLarge
@@ -185,7 +184,7 @@ def take_family(bag: TokenBag, families: dict) -> tuple[str, type]:
 def field_values(bag: TokenBag, cls, sign: str = "plus") -> list:
     """cls's constructor arguments in field order: every field but sign from
     a required integer token, sign as given."""
-    return [sign if f.name == "sign" else bag.require_int(f.name) for f in fields(cls)]
+    return [sign if name == "sign" else bag.require_int(name) for name in cls._fields]
 
 
 def parse_family(bag: TokenBag):
@@ -269,7 +268,7 @@ def cmd_scan(args) -> Output:
     if k_range is None:
         raise UsageError("missing required token k= (single value or LO..HI)")
     # a family without an m field leaves m= to bag.finish() to refuse
-    has_m = any(f.name == "m" for f in fields(cls))
+    has_m = "m" in cls._fields
     m_range = bag.take_range("m", default=range(2, 3)) if has_m else ()
     order = bag.take_int("order", 500)
     bag.finish()

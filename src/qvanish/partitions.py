@@ -25,11 +25,10 @@ Two combinatorial consequences of the vanishing theorems live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import InvalidParams, TooLarge, at_least
+from .errors import Frozen, InvalidParams, TooLarge, at_least, replace
 from .products import ProductSpec, _theta_window, expand_product, pochhammer
 from .vanishing import ResidueClass, ShiftedQuotientParams, zero_class
 
@@ -54,8 +53,7 @@ __all__ = [
 ENUMERATION_CAP = 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class RestrictedPartitionSpec:
+class RestrictedPartitionSpec(Frozen):
     """Which part sizes are allowed, by residue class mod `modulus`.
 
     Residue 0 means positive multiples of the modulus and is only meaningful
@@ -63,27 +61,32 @@ class RestrictedPartitionSpec:
     so every allowed part size has an unambiguous rule.
     """
 
-    modulus: int
-    repeatable_residues: frozenset[int] = frozenset()
-    distinct_residues: frozenset[int] = frozenset()
-    max_part: int | None = None
+    __slots__ = ("modulus", "repeatable_residues", "distinct_residues", "max_part")
 
-    def __post_init__(self):
-        object.__setattr__(self, "repeatable_residues", frozenset(self.repeatable_residues))
-        object.__setattr__(self, "distinct_residues", frozenset(self.distinct_residues))
-        at_least("modulus", self.modulus, 1)
-        for res in self.repeatable_residues | self.distinct_residues:
-            if not 0 <= res < self.modulus:
-                raise InvalidParams(f"residue {res} outside [0, {self.modulus})")
-        if self.repeatable_residues & self.distinct_residues:
+    def __init__(
+        self,
+        modulus: int,
+        repeatable_residues: Iterable[int] = frozenset(),
+        distinct_residues: Iterable[int] = frozenset(),
+        max_part: int | None = None,
+    ):
+        repeatable, distinct = frozenset(repeatable_residues), frozenset(distinct_residues)
+        at_least("modulus", modulus, 1)
+        for res in repeatable | distinct:
+            if not 0 <= res < modulus:
+                raise InvalidParams(f"residue {res} outside [0, {modulus})")
+        if repeatable & distinct:
             raise InvalidParams(
-                f"residues {sorted(self.repeatable_residues & self.distinct_residues)} "
-                "are both repeatable and distinct"
+                f"residues {sorted(repeatable & distinct)} are both repeatable and distinct"
             )
-        if 0 in self.distinct_residues:
+        if 0 in distinct:
             raise InvalidParams("residue 0 is only allowed among repeatable residues")
-        if self.max_part is not None:
-            at_least("max_part", self.max_part, 1)
+        if max_part is not None:
+            at_least("max_part", max_part, 1)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "repeatable_residues", repeatable)
+        object.__setattr__(self, "distinct_residues", distinct)
+        object.__setattr__(self, "max_part", max_part)
 
     def parts_up_to(self, limit: int) -> tuple[list[int], list[int]]:
         """Allowed (repeatable, distinct) part sizes <= limit, each ascending."""
@@ -107,18 +110,17 @@ class ParityCountPair(NamedTuple):
     odd_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Partition(Frozen):
     """A multiset of positive parts, canonically ascending.
 
     Rendered in multiplicity notation: "2+13+17^6+32" stands for the parts
     2, 13, 17 (six times), 32.  The empty partition renders as "0".
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(sorted(self.parts))
+    def __init__(self, parts: Iterable[int]):
+        parts = tuple(sorted(parts))
         if parts and parts[0] < 1:
             raise InvalidParams(f"parts must be positive, got {parts[0]}")
         object.__setattr__(self, "parts", parts)
@@ -182,14 +184,16 @@ def count_restricted_by_parity(spec: RestrictedPartitionSpec, n: int) -> ParityC
 # -- the signed-sum identity ------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SignedTerm:
+class SignedTerm(Frozen):
     """One row of the signed sum: argument nk-rs-mkj(j+1)/2-j(tk-r) at index j."""
 
-    j: int
-    argument: int
-    count: int
-    signed: int
+    __slots__ = ("j", "argument", "count", "signed")
+
+    def __init__(self, j: int, argument: int, count: int, signed: int):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "argument", argument)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "signed", signed)
 
 
 def _count_spec(m: int, k: int, r: int) -> RestrictedPartitionSpec:
@@ -245,14 +249,22 @@ def count_parity_split(m: int, k: int, s: int, t: int, n: int) -> ParityCountPai
     return count_restricted_by_parity(parity_spec(m, k, s, t), n)
 
 
-@dataclass(frozen=True, slots=True)
-class ParityIdentityReport:
+class ParityIdentityReport(Frozen):
     """Even-equals-odd check over one residue class of targets."""
 
-    params: dict
-    residue_class: ResidueClass
-    n_max: int
-    violations: tuple[tuple[int, int, int], ...]  # (n, even, odd)
+    __slots__ = ("params", "residue_class", "n_max", "violations")
+
+    def __init__(
+        self,
+        params: dict,
+        residue_class: ResidueClass,
+        n_max: int,
+        violations: tuple[tuple[int, int, int], ...],  # (n, even, odd)
+    ):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "residue_class", residue_class)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

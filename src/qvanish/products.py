@@ -52,13 +52,12 @@ vanishing-coefficient checks:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count
 from math import isqrt
 from operator import add, attrgetter, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import Degenerate, InvalidParams, at_least
+from .errors import Degenerate, Frozen, InvalidParams, at_least
 from .series import LaurentSeries, _first_difference
 
 __all__ = [
@@ -79,23 +78,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class PochhammerFactor:
+class PochhammerFactor(Frozen):
     """One symbol (arg_sign * q^offset; q^modulus)_inf with offset >= 1.
 
     Offsets at or above the modulus are legal; the constant term is always 1,
     so the factor is invertible as a power series.
     """
 
-    arg_sign: int
-    offset: int
-    modulus: int
+    __slots__ = ("arg_sign", "offset", "modulus")
 
-    def __post_init__(self):
-        if self.arg_sign not in (1, -1):
-            raise InvalidParams(f"arg_sign must be +1 or -1, got {self.arg_sign}")
-        at_least("offset", self.offset, 1)
-        at_least("modulus", self.modulus, 1)
+    def __init__(self, arg_sign: int, offset: int, modulus: int):
+        if arg_sign not in (1, -1):
+            raise InvalidParams(f"arg_sign must be +1 or -1, got {arg_sign}")
+        at_least("offset", offset, 1)
+        at_least("modulus", modulus, 1)
+        object.__setattr__(self, "arg_sign", arg_sign)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "modulus", modulus)
 
     def __str__(self) -> str:
         x = f"q^{self.offset}" if self.offset != 1 else "q"
@@ -111,24 +110,28 @@ def pochhammer(
     return tuple(PochhammerFactor(sign, a, modulus) for a in offsets)
 
 
-@dataclass(frozen=True, slots=True)
-class ProductSpec:
+class ProductSpec(Frozen):
     """prefactor_sign * q^prefactor_exponent * prod(numerator) / prod(denominator).
 
     Factors are kept symbolic and uncancelled so a spec can mirror the exact
     shape of the quotient being studied.
     """
 
-    prefactor_sign: int
-    prefactor_exponent: int
-    numerator: tuple[PochhammerFactor, ...]
-    denominator: tuple[PochhammerFactor, ...]
+    __slots__ = ("prefactor_sign", "prefactor_exponent", "numerator", "denominator")
 
-    def __post_init__(self):
-        if self.prefactor_sign not in (1, -1):
-            raise InvalidParams(f"prefactor_sign must be +1 or -1, got {self.prefactor_sign}")
-        object.__setattr__(self, "numerator", tuple(self.numerator))
-        object.__setattr__(self, "denominator", tuple(self.denominator))
+    def __init__(
+        self,
+        prefactor_sign: int,
+        prefactor_exponent: int,
+        numerator: Iterable[PochhammerFactor],
+        denominator: Iterable[PochhammerFactor],
+    ):
+        if prefactor_sign not in (1, -1):
+            raise InvalidParams(f"prefactor_sign must be +1 or -1, got {prefactor_sign}")
+        object.__setattr__(self, "prefactor_sign", prefactor_sign)
+        object.__setattr__(self, "prefactor_exponent", prefactor_exponent)
+        object.__setattr__(self, "numerator", tuple(numerator))
+        object.__setattr__(self, "denominator", tuple(denominator))
 
     def __str__(self) -> str:
         pre = ""
@@ -438,8 +441,7 @@ def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
 # -- the specialized bilateral summation -------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class BilateralSpecialization:
+class BilateralSpecialization(Frozen):
     """Parameters (m, k, t, r) of the bilateral sum under study.
 
     Encodes sum_{n in Z} q^{rn} / (1 - q^{n*mk - tk}), the one-parameter
@@ -448,20 +450,19 @@ class BilateralSpecialization:
     sum are genuine power series.
     """
 
-    m: int
-    k: int
-    t: int
-    r: int
+    __slots__ = ("m", "k", "t", "r")
 
-    def __post_init__(self):
-        if self.m < 2 or self.k < 2:
-            raise InvalidParams(f"need m, k > 1, got m={self.m}, k={self.k}")
-        if not 1 <= self.t < self.m:
-            raise InvalidParams(f"need 1 <= t < m, got t={self.t}, m={self.m}")
-        if not 1 <= self.r < self.m * self.k:
-            raise InvalidParams(
-                f"need 1 <= r < m*k = {self.m * self.k}, got r={self.r}"
-            )
+    def __init__(self, m: int, k: int, t: int, r: int):
+        if m < 2 or k < 2:
+            raise InvalidParams(f"need m, k > 1, got m={m}, k={k}")
+        if not 1 <= t < m:
+            raise InvalidParams(f"need 1 <= t < m, got t={t}, m={m}")
+        if not 1 <= r < m * k:
+            raise InvalidParams(f"need 1 <= r < m*k = {m * k}, got r={r}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "r", r)
 
 
 def _add_geometric(
@@ -531,14 +532,18 @@ def bilateral_product_spec(p: BilateralSpecialization) -> ProductSpec:
     return ProductSpec(-1 if c else 1, -c, num, den)
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityCheck:
+class IdentityCheck(Frozen):
     """Outcome of comparing two series: truthy when they agree everywhere known."""
 
-    ok: bool
-    exponent: int | None = None
-    lhs: int | None = None
-    rhs: int | None = None
+    __slots__ = ("ok", "exponent", "lhs", "rhs")
+
+    def __init__(
+        self, ok: bool, exponent: int | None = None, lhs: int | None = None, rhs: int | None = None
+    ):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def __bool__(self) -> bool:
         return self.ok

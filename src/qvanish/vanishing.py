@@ -38,11 +38,10 @@ against a plain linear expansion on every tuple of the sweep grids.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
 from math import gcd
 from typing import Iterable, Iterator, Union
 
-from .errors import InvalidParams, at_least
+from .errors import Frozen, InvalidParams, at_least
 from .products import ProductSpec, _shifted_pair, expand_product, pochhammer
 
 __all__ = [
@@ -65,16 +64,15 @@ __all__ = [
 OBSERVED_CLASS_MIN_SAMPLES = 10
 
 
-@dataclass(frozen=True, slots=True)
-class ResidueClass:
+class ResidueClass(Frozen):
     """The set of integers congruent to residue mod modulus."""
 
-    modulus: int
-    residue: int
+    __slots__ = ("modulus", "residue")
 
-    def __post_init__(self):
-        at_least("modulus", self.modulus, 1)
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+    def __init__(self, modulus: int, residue: int):
+        at_least("modulus", modulus, 1)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residue", residue % modulus)
 
     def contains(self, e: int) -> bool:
         return e % self.modulus == self.residue
@@ -83,29 +81,30 @@ class ResidueClass:
         return f"{self.modulus}n+{self.residue}" if self.residue else f"{self.modulus}n"
 
 
-@dataclass(frozen=True, slots=True)
-class ShiftedQuotientParams:
+class ShiftedQuotientParams(Frozen):
     """(m, k, s, t) with derived r = sm + t coprime to k; sign plus or minus."""
 
-    m: int
-    k: int
-    s: int
-    t: int
-    sign: str = "plus"
+    __slots__ = ("m", "k", "s", "t", "sign")
 
-    def __post_init__(self):
-        if self.m < 2 or self.k < 2:
-            raise InvalidParams(f"need m, k > 1, got m={self.m}, k={self.k}")
-        if not 0 <= self.s < self.k:
-            raise InvalidParams(f"need 0 <= s < k, got s={self.s}, k={self.k}")
-        if not 1 <= self.t < self.m:
-            raise InvalidParams(f"need 1 <= t < m, got t={self.t}, m={self.m}")
-        if self.sign not in ("plus", "minus"):
-            raise InvalidParams(f"sign must be 'plus' or 'minus', got {self.sign!r}")
-        if gcd(self.r, self.k) != 1:
-            raise InvalidParams(f"gcd(r, k) != 1 for r=sm+t={self.r}, k={self.k}")
-        if self.sign == "minus" and self.k % 2 == 0:
-            raise InvalidParams(f"the minus family requires odd k, got k={self.k}")
+    def __init__(self, m: int, k: int, s: int, t: int, sign: str = "plus"):
+        if m < 2 or k < 2:
+            raise InvalidParams(f"need m, k > 1, got m={m}, k={k}")
+        if not 0 <= s < k:
+            raise InvalidParams(f"need 0 <= s < k, got s={s}, k={k}")
+        if not 1 <= t < m:
+            raise InvalidParams(f"need 1 <= t < m, got t={t}, m={m}")
+        if sign not in ("plus", "minus"):
+            raise InvalidParams(f"sign must be 'plus' or 'minus', got {sign!r}")
+        r = s * m + t
+        if gcd(r, k) != 1:
+            raise InvalidParams(f"gcd(r, k) != 1 for r=sm+t={r}, k={k}")
+        if sign == "minus" and k % 2 == 0:
+            raise InvalidParams(f"the minus family requires odd k, got k={k}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def r(self) -> int:
@@ -128,7 +127,7 @@ class ShiftedQuotientParams:
         return ResidueClass(self.k, c - self.r * self.s)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def grid(cls, ks: list[int], ms: list[int], family: str) -> Iterator[dict]:
@@ -140,7 +139,7 @@ class ShiftedQuotientParams:
                         yield {"m": m, "k": k, "s": s, "t": t, "sign": family}
 
 
-class _Embedded:
+class _Embedded(Frozen):
     """spec() and zero_class() of a family that is a shifted tuple in other terms."""
 
     __slots__ = ()
@@ -154,29 +153,29 @@ class _Embedded:
         return self.shifted().zero_class()
 
 
-@dataclass(frozen=True, slots=True)
 class AndrewsBressoudParams(_Embedded):
     """(k, r) coprime of opposite parity, 1 <= r < k."""
 
-    k: int
-    r: int
+    __slots__ = ("k", "r")
     family = "ab"
 
-    def __post_init__(self):
-        at_least("k", self.k, 2)
-        if not 1 <= self.r < self.k:
-            raise InvalidParams(f"need 1 <= r < k, got r={self.r}, k={self.k}")
-        if gcd(self.r, self.k) != 1:
-            raise InvalidParams(f"gcd(r, k) != 1 for r={self.r}, k={self.k}")
-        if self.r % 2 == self.k % 2:
-            raise InvalidParams(f"r and k must have opposite parity, got r={self.r}, k={self.k}")
+    def __init__(self, k: int, r: int):
+        at_least("k", k, 2)
+        if not 1 <= r < k:
+            raise InvalidParams(f"need 1 <= r < k, got r={r}, k={k}")
+        if gcd(r, k) != 1:
+            raise InvalidParams(f"gcd(r, k) != 1 for r={r}, k={k}")
+        if r % 2 == k % 2:
+            raise InvalidParams(f"r and k must have opposite parity, got r={r}, k={k}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "r", r)
 
     def shifted(self) -> ShiftedQuotientParams:
         # its r = 2s + 1 is k - r, odd since r and k have opposite parity
         return ShiftedQuotientParams(2, self.k, (self.k - self.r - 1) // 2, 1)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def grid(cls, ks: list[int], ms: list[int], family: str) -> Iterator[dict]:
@@ -186,27 +185,27 @@ class AndrewsBressoudParams(_Embedded):
                 yield {"k": k, "r": r}
 
 
-@dataclass(frozen=True, slots=True)
 class AlladiGordonParams(_Embedded):
     """(m, k, s) with 1 < m < k, gcd(s, km) = 1; r, r' derived, never stored."""
 
-    m: int
-    k: int
-    s: int
-    sign: str = "plus"
+    __slots__ = ("m", "k", "s", "sign")
     family = "ag"
 
-    def __post_init__(self):
-        if not 1 < self.m < self.k:
-            raise InvalidParams(f"need 1 < m < k, got m={self.m}, k={self.k}")
-        if not 1 <= self.s < self.m * self.k:
-            raise InvalidParams(f"need 1 <= s < mk, got s={self.s}, mk={self.m * self.k}")
-        if gcd(self.s, self.k * self.m) != 1:
-            raise InvalidParams(f"gcd(s, km) != 1 for s={self.s}, km={self.k * self.m}")
-        if self.sign not in ("plus", "minus"):
-            raise InvalidParams(f"sign must be 'plus' or 'minus', got {self.sign!r}")
-        if self.sign == "minus" and self.k % 2 == 0:
-            raise InvalidParams(f"the minus variant requires odd k, got k={self.k}")
+    def __init__(self, m: int, k: int, s: int, sign: str = "plus"):
+        if not 1 < m < k:
+            raise InvalidParams(f"need 1 < m < k, got m={m}, k={k}")
+        if not 1 <= s < m * k:
+            raise InvalidParams(f"need 1 <= s < mk, got s={s}, mk={m * k}")
+        if gcd(s, k * m) != 1:
+            raise InvalidParams(f"gcd(s, km) != 1 for s={s}, km={k * m}")
+        if sign not in ("plus", "minus"):
+            raise InvalidParams(f"sign must be 'plus' or 'minus', got {sign!r}")
+        if sign == "minus" and k % 2 == 0:
+            raise InvalidParams(f"the minus variant requires odd k, got k={k}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def r_star(self) -> int:
@@ -227,7 +226,7 @@ class AlladiGordonParams(_Embedded):
         return ShiftedQuotientParams(self.m, self.k, self.s // self.m, self.s % self.m, self.sign)
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "r_star": self.r_star, "r_prime": self.r_prime}
+        return {**self._asdict(), "r_star": self.r_star, "r_prime": self.r_prime}
 
     @classmethod
     def grid(cls, ks: list[int], ms: list[int], family: str) -> Iterator[dict]:
@@ -261,22 +260,37 @@ def zero_class(params: TheoremParams) -> ResidueClass:
     return params.zero_class()
 
 
-@dataclass(frozen=True, slots=True)
-class VanishingReport:
+class VanishingReport(Frozen):
     """Outcome of checking one parameter tuple against its expansion.
 
     Exponents refer to the normalized expansion (build_spec with the
     prefactor stripped), which starts at q^0 and matches zero_class.
     """
 
-    family: str
-    params: dict
-    r: int
-    spec: ProductSpec
-    order: int
-    zero_class: ResidueClass
-    violations: tuple[tuple[int, int], ...]
-    observed_zero_classes: tuple[ResidueClass, ...]
+    __slots__ = (
+        "family", "params", "r", "spec", "order", "zero_class", "violations",
+        "observed_zero_classes",
+    )
+
+    def __init__(
+        self,
+        family: str,
+        params: dict,
+        r: int,
+        spec: ProductSpec,
+        order: int,
+        zero_class: ResidueClass,
+        violations: tuple[tuple[int, int], ...],
+        observed_zero_classes: tuple[ResidueClass, ...],
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "zero_class", zero_class)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "observed_zero_classes", observed_zero_classes)
 
     @property
     def verified(self) -> bool:
@@ -340,12 +354,14 @@ def verify_vanishing(params: TheoremParams, order: int) -> VanishingReport:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ScanResult:
+class ScanResult(Frozen):
     """Reports for every valid tuple in a grid, plus the skipped combinations."""
 
-    reports: tuple[VanishingReport, ...]
-    skipped: tuple[tuple[dict, str], ...]
+    __slots__ = ("reports", "skipped")
+
+    def __init__(self, reports: tuple[VanishingReport, ...], skipped: tuple[tuple[dict, str], ...]):
+        object.__setattr__(self, "reports", reports)
+        object.__setattr__(self, "skipped", skipped)
 
     def __iter__(self) -> Iterator[VanishingReport]:
         return iter(self.reports)

@@ -284,6 +284,25 @@ def test_reader_closing_stdout_early_is_not_an_error():
     assert (code, err) == (0, b"")
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # each CLI call is a fresh process; importing dataclasses (which pulls in
+    # inspect, ast, dis and tokenize) would be paid by every one of them
+    src = str(Path(qvanish.cli.__file__).resolve().parents[1])
+    code = (
+        "import qvanish.cli, sys; "
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
+
+
 def test_scan_requires_family_and_k(capsys):
     code, _, err = run(capsys, "scan", "k=2..4")
     assert code == 2 and "family" in err

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
 import qvanish.partitions
-from qvanish.errors import InvalidParams, TooLarge
+from qvanish.errors import InvalidParams, TooLarge, replace
 from qvanish.partitions import (
     Partition,
     ParityCountPair,

@@ -10,13 +10,13 @@ checked against the product side it is classically equal to.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
 
 import qvanish.products
 from qvanish import Degenerate, InvalidParams, LaurentSeries
+from qvanish.errors import replace
 from qvanish.partitions import RestrictedPartitionSpec, count_restricted_table
 from qvanish.products import (
     BilateralSpecialization,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import json
 import os
@@ -15,6 +14,7 @@ import pytest
 
 import qvanish
 from qvanish import InvalidParams, LaurentSeries
+from qvanish.errors import replace
 from qvanish.products import (
     BilateralSpecialization,
     IdentityCheck,
@@ -43,12 +43,6 @@ from qvanish.vanishing import (
     verify_vanishing,
     zero_class,
 )
-
-replace = dataclasses.replace
-
-
-def _fields(cls):
-    return [f.name for f in dataclasses.fields(cls)]
 
 
 # -- parameter validation ------------------------------------------------------
@@ -352,7 +346,12 @@ VALUE_TYPES = [
         "ShiftedQuotientParams(m=3, k=5, s=2, t=1, sign='plus')",
     ),
     (AndrewsBressoudParams, (4, 3), True, "AndrewsBressoudParams(k=4, r=3)"),
-    (AlladiGordonParams, (2, 5, 3, "minus"), True, "AlladiGordonParams(m=2, k=5, s=3, sign='minus')"),
+    (
+        AlladiGordonParams,
+        (2, 5, 3, "minus"),
+        True,
+        "AlladiGordonParams(m=2, k=5, s=3, sign='minus')",
+    ),
     (
         VanishingReport,
         ("ab", {"k": 4, "r": 3}, 1, _EMPTY_SPEC, 10, ResidueClass(4, 1), ((2, -1),),
@@ -394,7 +393,7 @@ def test_value_types_are_frozen_slotted_and_picklable():
     for cls, args, hashable, expected in VALUE_TYPES:
         value, again = cls(*args), cls(*args)
         assert repr(value) == expected
-        names = _fields(cls)
+        names = list(cls._fields)
         # the field list is the constructor's parameter list
         assert names == list(inspect.signature(cls).parameters), expected
         state = tuple(getattr(value, name) for name in names)
@@ -414,6 +413,8 @@ def test_value_types_are_frozen_slotted_and_picklable():
                 setattr(value, name, 0)
             with pytest.raises(AttributeError):
                 delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 0
         assert not hasattr(value, "__dict__")
         # scan --jobs sends params to its workers and reports back by pickle
         copy = pickle.loads(pickle.dumps(value))
@@ -475,7 +476,7 @@ def test_family_grids_yield_constructor_fields_and_reported_params():
     # a grid candidate is the class's constructor arguments in field order,
     # and the reported params dict starts with exactly that candidate
     for family, cls in FAMILIES.items():
-        names = [f.name for f in dataclasses.fields(cls)]
+        names = list(cls._fields)
         valid = 0
         for candidate in cls.grid(list(range(2, 8)), list(range(2, 5)), family):
             assert list(candidate) == names, (family, candidate)

@@ -37,6 +37,7 @@ VANISHING = "src/qvanish/vanishing.py"
 PRODUCTS = "src/qvanish/products.py"
 PARTITIONS = "src/qvanish/partitions.py"
 SERIES = "src/qvanish/series.py"
+ERRORS = "src/qvanish/errors.py"
 
 MUTANTS = (
     Mutant(
@@ -297,6 +298,38 @@ MUTANTS = (
         "len(list(group))",
         "len(list(group)) + 1",
         ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "value equality ignores the type",
+        ERRORS,
+        "if other.__class__ is self.__class__:",
+        "if isinstance(other, Frozen):",
+        ("tests/test_vanishing.py",),
+    ),
+    Mutant(
+        "replace skips validation",
+        ERRORS,
+        "    return value.__class__(**{**value._asdict(), **changes})\n",
+        "    copy = object.__new__(value.__class__)\n"
+        "    for name, field in {**value._asdict(), **changes}.items():\n"
+        "        object.__setattr__(copy, name, field)\n"
+        "    return copy\n",
+        ("tests/test_vanishing.py",),
+    ),
+    Mutant(
+        "frozen guard removed: value fields can be assigned",
+        ERRORS,
+        "    def __setattr__(self, name, value):\n"
+        "        raise AttributeError(f\"cannot assign to field {name!r}\")\n",
+        "",
+        ("tests/test_vanishing.py",),
+    ),
+    Mutant(
+        "ResidueClass keeps an unreduced residue",
+        VANISHING,
+        'object.__setattr__(self, "residue", residue % modulus)',
+        'object.__setattr__(self, "residue", residue)',
+        ("tests/test_vanishing.py",),
     ),
 )
 
