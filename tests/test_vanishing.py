@@ -325,7 +325,6 @@ def test_paired_expansion_equals_linear_on_every_grid_tuple(linear_expand):
 
 # one value of each of the package's value types, and its exact repr; the
 # dict-valued types have no hash
-_EMPTY_SPEC = ProductSpec(1, 0, (), ())
 VALUE_TYPES = [
     (PochhammerFactor, (-1, 2, 7), True, "PochhammerFactor(arg_sign=-1, offset=2, modulus=7)"),
     (
@@ -354,7 +353,7 @@ VALUE_TYPES = [
     ),
     (
         VanishingReport,
-        ("ab", {"k": 4, "r": 3}, 1, _EMPTY_SPEC, 10, ResidueClass(4, 1), ((2, -1),),
+        ("ab", {"k": 4, "r": 3}, 1, ProductSpec(1, 0, (), ()), 10, ResidueClass(4, 1), ((2, -1),),
          (ResidueClass(4, 3),)),
         False,
         "VanishingReport(family='ab', params={'k': 4, 'r': 3}, r=1, "
