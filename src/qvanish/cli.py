@@ -26,7 +26,7 @@ import csv
 import json
 import os
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import InvalidParams, TooLarge
 from .partitions import (
@@ -200,14 +200,8 @@ def parse_family(bag: TokenBag):
 # -- subcommands -----------------------------------------------------------------
 
 
-class Output(NamedTuple):
-    """A command's result in every format; main prints the one asked for."""
-
-    code: int
-    json: dict
-    header: list[str]
-    rows: list[list]
-    text: list[str]
+Output = namedtuple("Output", ["code", "json", "header", "rows", "text"])
+Output.__doc__ = "A command's result in every format; main prints the one asked for."
 
 
 CHECK_HEADER = ["ok", "exponent", "lhs", "rhs"]

@@ -25,8 +25,9 @@ Two combinatorial consequences of the vanishing theorems live here:
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import groupby
-from typing import Iterable, NamedTuple
 
 from .errors import Frozen, InvalidParams, TooLarge, at_least, replace
 from .products import ProductSpec, _theta_window, expand_product, pochhammer
@@ -103,11 +104,8 @@ class RestrictedPartitionSpec(Frozen):
         return out[0], out[1]
 
 
-class ParityCountPair(NamedTuple):
-    """Partition counts split by parity of the total number of parts."""
-
-    even_count: int
-    odd_count: int
+ParityCountPair = namedtuple("ParityCountPair", ["even_count", "odd_count"])
+ParityCountPair.__doc__ = "Partition counts split by parity of the total number of parts."
 
 
 class Partition(Frozen):

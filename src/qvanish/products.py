@@ -52,10 +52,10 @@ vanishing-coefficient checks:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import count
 from math import isqrt
 from operator import add, attrgetter, itemgetter, sub
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import Degenerate, Frozen, InvalidParams, at_least
 from .series import LaurentSeries, _first_difference
@@ -250,38 +250,36 @@ def _mul_sparse(coeffs: list[int], terms: Sequence[tuple[int, int]]) -> list[int
     return out
 
 
-def _gather(offsets: list[int]) -> Callable[[list[int]], tuple[int, ...]]:
-    """A function taking out to the tuple of out[i] for every i in offsets."""
-    if len(offsets) > 1:
-        return itemgetter(*offsets)
-    if offsets:
-        i = offsets[0]
-        return lambda out: (out[i],)
-    return lambda out: ()
-
-
 def _div_sparse(coeffs: list[int], terms: Sequence[tuple[int, int]]) -> None:
     """In place, divide by 1 + sum(c q^e for (e, c) in terms), e >= 1 ascending.
 
-    y_n = x_n - sum(c * y_{n-e}).  The quotient grows in a new list out, one
-    append per coefficient, so y_{n-e} is always out[-e].  Between consecutive
-    exponents the set of terms with e <= n is fixed; each such segment builds
-    one getter per sign over those negative offsets, with |c| > 1 written as
-    a repeated offset, so each coefficient costs two gathers and two sums.
+    y_n = x_n - sum(c * y_{n-e}).  The quotient grows mirrored in a new list
+    both = [y_0, -y_0, y_1, -y_1, ...], two appends per coefficient, so while
+    y_n is formed y_{n-e} is both[-2e] and -y_{n-e} is both[1 - 2e].  A term
+    with c < 0 reads the first, one with c > 0 the second, and |c| > 1 is a
+    repeated offset.  Between consecutive exponents the set of terms with
+    e <= n is fixed; each such segment builds one getter over its offsets
+    (a single offset as a one-item slice), so each coefficient costs one
+    gather and one sum.
     """
     if not terms:
         return
-    out = coeffs[: terms[0][0]]
-    append = out.append
-    added: list[int] = []  # -e with y_{n-e} added, i.e. c < 0
-    subtracted: list[int] = []
+    both = [v for x in coeffs[: terms[0][0]] for v in (x, -x)]
+    append = both.append
+    offsets: list[int] = []
     stops = [e for e, _ in terms[1:]] + [len(coeffs)]
     for (e, c), stop in zip(terms, stops):
-        (subtracted if c > 0 else added).extend([-e] * abs(c))
-        plus, minus = _gather(added), _gather(subtracted)
+        offsets.extend([(1 if c > 0 else 0) - 2 * e] * abs(c))
+        if len(offsets) > 1:
+            gather = itemgetter(*offsets)
+        else:
+            i = offsets[0]
+            gather = itemgetter(slice(i, i + 1 or None))
         for x in coeffs[e:stop]:
-            append(sum(plus(out), x) - sum(minus(out)))
-    coeffs[:] = out
+            y = sum(gather(both), x)
+            append(y)
+            append(-y)
+    coeffs[:] = both[::2]
 
 
 def _theta_series(z: int, a: int, M: int, length: int) -> tuple[tuple[int, int], ...]:

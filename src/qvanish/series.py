@@ -26,8 +26,8 @@ from multiple threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import repeat
-from typing import Iterator, Sequence
 
 from .errors import NotAUnit, OutOfRange
 

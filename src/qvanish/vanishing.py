@@ -38,8 +38,8 @@ against a plain linear expansion on every tuple of the sweep grids.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Iterator
 from math import gcd
-from typing import Iterable, Iterator, Union
 
 from .errors import Frozen, InvalidParams, at_least
 from .products import ProductSpec, _shifted_pair, expand_product, pochhammer
@@ -238,7 +238,7 @@ class AlladiGordonParams(_Embedded):
                         yield {"m": m, "k": k, "s": s, "sign": sign}
 
 
-TheoremParams = Union[AndrewsBressoudParams, ShiftedQuotientParams, AlladiGordonParams]
+TheoremParams = AndrewsBressoudParams | ShiftedQuotientParams | AlladiGordonParams
 
 
 # scan family name -> parameter class

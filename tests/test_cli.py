@@ -303,6 +303,21 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out.stdout == "[]\n"
 
 
+def test_cli_import_without_site_hooks_loads_no_typing():
+    # the package needs nothing from typing, whose import would be paid by
+    # every CLI process; -S drops the site hooks, which may load it first
+    src = str(Path(qvanish.cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import qvanish.cli, sys; print('typing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout == "False\n"
+
+
 def test_scan_requires_family_and_k(capsys):
     code, _, err = run(capsys, "scan", "k=2..4")
     assert code == 2 and "family" in err

@@ -223,12 +223,16 @@ def test_div_sparse_matches_naive_recurrence_and_inverts_mul():
     for n in (0, 1, 3, 9, 40):
         for terms in (
             [],
-            [(3, -1)],  # one term: one added offset, no subtracted one
-            [(2, 1), (5, -1)],  # one subtracted offset and no added one, then one each
+            [(3, -1)],  # one term, c < 0: a one-offset getter reading +y
+            [(2, 1), (5, -1)],  # one term reading -y, then a second reading +y
             [(4, 1), (6, -1), (7, 1)],  # a first exponent above 1
             [(5, 2)],  # a window shorter than the first exponent when n < 5
+            [(1, 1)],  # a one-offset getter on the last slot: slice(-1, None)
+            [(1, -1)],  # a one-offset getter one slot in: slice(-2, -1)
+            [(1, 2)],  # |c| = 2 at e = 1: one offset read twice
+            [(1, -1), (2, 1)],  # from one offset at e = 1 to a two-offset getter
             _theta_series(-1, 3, 6, n),  # the pair (q^3, q^3; q^6): |c| = 2
-            _theta_series(1, 2, 7, n),  # (-q^2, -q^5; q^7): every term subtracted
+            _theta_series(1, 2, 7, n),  # (-q^2, -q^5; q^7): every c > 0, every offset reads -y
             _theta_series(-1, 4, 9, n),
         ):
             for big in (False, True):

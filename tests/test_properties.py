@@ -1,7 +1,8 @@
 """Property tests: expand_product against the plain linear expansion of the
 linear_expand fixture, on random factor lists and on random theorem-family
-quotients, the negative controls of the identity checks, and series
-inversion against the naive product."""
+quotients, the negative controls of the identity checks, series inversion
+against the naive product, and the sparse division kernel against its
+recurrence."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from qvanish.products import (  # noqa: E402
     expand_factor,
     expand_product,
     jtp_theta,
+    _div_sparse,
     pochhammer,
     verify_1psi1,
 )
@@ -218,3 +220,33 @@ def test_unit_times_its_inverse_is_one(u):
     assert (g.valuation, g.order) == (-v, -v + len(a))
     prod = [sum(a[j] * g.coeffs[i - j] for j in range(i + 1)) for i in range(len(a))]
     assert prod == [1] + [0] * (len(a) - 1)
+
+
+def recurrence_div(x, terms):
+    """y_n = x_n - sum(c * y_{n-e}), one coefficient at a time."""
+    y = []
+    for n, xn in enumerate(x):
+        y.append(xn - sum(c * y[n - e] for e, c in terms if e <= n))
+    return y
+
+
+@st.composite
+def sparse_terms(draw):
+    """Ascending exponents in 1..30, each with a coefficient 0 < |c| <= 3."""
+    exponents = sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=8)))
+    cs = st.integers(-3, 3).filter(bool)
+    return [(e, draw(cs)) for e in exponents]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sparse_terms(),
+    st.one_of(
+        st.lists(st.integers(-50, 50), max_size=60),
+        st.lists(st.integers(-(2**80), 2**80), max_size=60),
+    ),
+)
+def test_div_sparse_matches_its_recurrence(terms, x):
+    y = list(x)
+    _div_sparse(y, terms)
+    assert y == recurrence_div(x, terms)

@@ -113,22 +113,36 @@ MUTANTS = (
     Mutant(
         "_div_sparse sign swapped",
         PRODUCTS,
-        "(subtracted if c > 0 else added)",
-        "(added if c > 0 else subtracted)",
+        "(1 if c > 0 else 0)",
+        "(1 if c < 0 else 0)",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "_div_sparse mirrored offset reads +y where -y is due",
+        PRODUCTS,
+        "(1 if c > 0 else 0)",
+        "(0 if c > 0 else 0)",
         ("tests/test_products.py",),
     ),
     Mutant(
         "_div_sparse reads y one exponent late",
         PRODUCTS,
-        ".extend([-e] * abs(c))",
-        ".extend([1 - e] * abs(c))",
+        "- 2 * e] * abs(c)",
+        "- 2 * e + 2] * abs(c)",
         ("tests/test_products.py",),
     ),
     Mutant(
         "_div_sparse starts out one coefficient short",
         PRODUCTS,
-        "out = coeffs[: terms[0][0]]",
-        "out = coeffs[: terms[0][0] - 1]",
+        "for x in coeffs[: terms[0][0]]",
+        "for x in coeffs[: terms[0][0] - 1]",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "_div_sparse one-offset getter ends one slot early",
+        PRODUCTS,
+        "slice(i, i + 1 or None)",
+        "slice(i, i + 1)",
         ("tests/test_products.py",),
     ),
     Mutant(
