@@ -20,7 +20,9 @@ Two combinatorial consequences of the vanishing theorems live here:
   sum runs over the finitely many j that keep the argument nonnegative; and
 * the parity split: among partitions into repeatable parts = +-r and
   distinct parts = +-(r - tk) (mod mk), the counts with an even and an odd
-  total number of parts agree on a whole residue class of n mod k.
+  total number of parts agree on a whole residue class of n mod k.  Each part
+  weighted by -1, this is the normalized ``minus`` quotient, which
+  vanishing.verify_vanishing checks.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from itertools import groupby
 
 from .errors import Frozen, InvalidParams, TooLarge, at_least, replace
 from .products import ProductSpec, _theta_window, expand_product, pochhammer
-from .vanishing import ResidueClass, ShiftedQuotientParams, zero_class
+from .vanishing import ResidueClass, ShiftedQuotientParams, verify_vanishing
 
 __all__ = [
     "RestrictedPartitionSpec",
@@ -228,16 +230,13 @@ def signed_sum(m: int, k: int, s: int, t: int, n: int) -> int:
 
 
 def parity_spec(m: int, k: int, s: int, t: int) -> RestrictedPartitionSpec:
-    """Repeatable parts = +-r and distinct parts = +-(r - tk) (mod mk), r = sm + t."""
-    params = ShiftedQuotientParams(m, k, s, t, "minus")  # validates, needs odd k
-    r, mk, tk = params.r, m * k, t * k
-    # The residue pairs never collide: +-r = +-(r-tk) mod mk forces either
-    # tk = 0 mod mk (so m | t, impossible for 1 <= t < m) or 2r = tk mod mk
-    # (so k | 2r, impossible for gcd(r,k) = 1 and odd k > 1).
+    """Repeatable parts = +-r and distinct parts = +-(r - tk) (mod mk), r = sm + t.
+
+    These are the denominator and numerator offsets of the normalized ``minus`` quotient.
+    """
+    spec = ShiftedQuotientParams(m, k, s, t, "minus").spec()  # validates, needs odd k
     return RestrictedPartitionSpec(
-        mk,
-        repeatable_residues={r % mk, (-r) % mk},
-        distinct_residues={(r - tk) % mk, (tk - r) % mk},
+        m * k, (f.offset for f in spec.denominator), (f.offset for f in spec.numerator)
     )
 
 
@@ -275,23 +274,19 @@ class ParityIdentityReport(Frozen):
 def verify_parity_identity(m: int, k: int, s: int, t: int, n_max: int) -> ParityIdentityReport:
     """Check even = odd at every class exponent up to n_max (inclusive).
 
-    The class is kn - rs for r - tk > 0 and kn - r(s+1) for r - tk < 0, the
-    latter because normalizing the negative offset shifts the progression.
+    sum (even - odd) q^n is the normalized ``minus`` quotient, so the class
+    (kn - rs for r > tk, kn - r(s+1) for r < tk) and its failures are
+    verify_vanishing's at order n_max + 1.
     """
     at_least("n_max", n_max, 0)
-    params = ShiftedQuotientParams(m, k, s, t, "minus")
-    cls = zero_class(params)
-    spec = parity_spec(m, k, s, t)
-    signed = _expand(spec, n_max, -1)  # sum (even - odd) q^n
-    failing = [e for e in range(cls.residue, n_max + 1, k) if signed[e]]
+    report = verify_vanishing(ShiftedQuotientParams(m, k, s, t, "minus"), n_max + 1)
     # the total count only splits a violation into (even, odd)
-    total = _expand(spec, n_max, 1) if failing else []
-    violations = tuple((e, *_parity_pair(total[e], signed[e])) for e in failing)
+    total = _expand(parity_spec(m, k, s, t), n_max, 1) if report.violations else []
     return ParityIdentityReport(
         params={"m": m, "k": k, "s": s, "t": t},
-        residue_class=cls,
+        residue_class=report.zero_class,
         n_max=n_max,
-        violations=violations,
+        violations=tuple((e, *_parity_pair(total[e], c)) for e, c in report.violations),
     )
 
 

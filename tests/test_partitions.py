@@ -22,8 +22,17 @@ from qvanish.partitions import (
     signed_sum_terms,
     verify_parity_identity,
 )
-from qvanish.products import ProductSpec, pochhammer
-from qvanish.vanishing import ResidueClass, ShiftedQuotientParams, build_spec, zero_class
+from qvanish.products import ProductSpec, expand_product, pochhammer
+from qvanish.vanishing import ResidueClass, ShiftedQuotientParams, build_spec
+
+
+def minus_grid():
+    """Every valid ``minus`` tuple with odd k in 3..9 and m in 2..5, r < tk included."""
+    for candidate in ShiftedQuotientParams.grid([3, 5, 7, 9], [2, 3, 4, 5], "minus"):
+        try:
+            yield ShiftedQuotientParams(**candidate)
+        except InvalidParams:
+            pass
 
 
 def all_parts(modulus=1):
@@ -354,12 +363,19 @@ def test_verify_parity_identity():
     assert report.residue_class.residue == (-2 * 1) % 3
 
 
-def test_parity_identity_reports_violations_off_its_class(monkeypatch):
+def shift_predicted_class(monkeypatch):
+    """Move every ShiftedQuotientParams zero class up by one residue."""
+    zero_class = ShiftedQuotientParams.zero_class
+
     def shifted_class(params):
         cls = zero_class(params)
         return ResidueClass(cls.modulus, cls.residue + 1)
 
-    monkeypatch.setattr(qvanish.partitions, "zero_class", shifted_class)
+    monkeypatch.setattr(ShiftedQuotientParams, "zero_class", shifted_class)
+
+
+def test_parity_identity_reports_violations_off_its_class(monkeypatch):
+    shift_predicted_class(monkeypatch)
     report = verify_parity_identity(2, 15, 8, 1, 200)
     assert not report
     assert report.residue_class == ResidueClass(15, 0)
@@ -368,6 +384,13 @@ def test_parity_identity_reports_violations_off_its_class(monkeypatch):
     for n, even, odd in report.violations:
         assert n % 15 == 0
         assert (even, odd) == count_restricted_by_parity(spec, n), n
+
+
+def test_parity_identity_window_includes_n_max(monkeypatch):
+    # n_max = 195 lies in the shifted class 0 mod 15, so it is the last violation
+    shift_predicted_class(monkeypatch)
+    report = verify_parity_identity(2, 15, 8, 1, 195)
+    assert report.violations[-1] == (195, *count_parity_split(2, 15, 8, 1, 195))
 
 
 def test_parity_identity_expands_the_total_only_for_violations(monkeypatch):
@@ -379,8 +402,12 @@ def test_parity_identity_expands_the_total_only_for_violations(monkeypatch):
         return expand(spec, n_max, sign)
 
     monkeypatch.setattr(qvanish.partitions, "_expand", recording)
+    # the signed series is the minus quotient, which verify_vanishing expands
     assert verify_parity_identity(2, 15, 8, 1, 200)
-    assert signs == [-1]
+    assert signs == []
+    shift_predicted_class(monkeypatch)
+    assert not verify_parity_identity(2, 15, 8, 1, 200)
+    assert signs == [1]
 
 
 def test_parity_identity_not_vacuous():
@@ -404,6 +431,22 @@ def test_parity_spec_residues():
     assert parity_spec(3, 3, 0, 2) == RestrictedPartitionSpec(9, {2, 7}, {5, 4})
     with pytest.raises(InvalidParams):
         parity_spec(3, 4, 1, 2)
+    for p in minus_grid():
+        r, mk, tk = p.r, p.m * p.k, p.t * p.k
+        assert parity_spec(p.m, p.k, p.s, p.t) == RestrictedPartitionSpec(
+            mk, {r % mk, -r % mk}, {(r - tk) % mk, (tk - r) % mk}
+        ), p
+
+
+def test_signed_parity_series_is_the_minus_quotient():
+    # sum (even - odd) q^n, every part weighted by -1, is the normalized minus quotient
+    grid = list(minus_grid())
+    assert any(p.r < p.t * p.k for p in grid) and any(p.r > p.t * p.k for p in grid)
+    for p in grid:
+        spec = p.spec()
+        quotient = expand_product(ProductSpec(1, 0, spec.numerator, spec.denominator), 201)
+        signed = qvanish.partitions._expand(parity_spec(p.m, p.k, p.s, p.t), 200, -1)
+        assert signed == list(quotient.coeffs), p
 
 
 def test_parity_split_requires_odd_k():

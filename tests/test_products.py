@@ -474,6 +474,13 @@ def test_pairing_rules_leave_no_symbol_behind(monkeypatch, linear_expand):
         sparse.update(mul=0, div=0)
         assert expand_product(spec, 200) == linear_expand(spec, 200), spec
         assert calls == {"mul": 0, "div": 0} and sparse == {"mul": 0, "div": divides}, spec
+    # below q^13 the theta series of (q^3, q^4; q^7) has two terms besides 1, so
+    # it is seeded, not multiplied; the pentagonal series, one term, divides twice
+    spec = ProductSpec(1, 0, pochhammer((3, 4), 7), pochhammer((7,), 7))
+    calls.update(mul=0, div=0)
+    sparse.update(mul=0, div=0)
+    assert expand_product(spec, 13) == linear_expand(spec, 13)
+    assert calls == {"mul": 0, "div": 2} and sparse == {"mul": 0, "div": 0}
 
 
 def test_pair_plus_cancelling_symbol_with_prefactor(linear_expand):

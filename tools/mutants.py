@@ -160,6 +160,13 @@ MUTANTS = (
         ("tests/test_products.py",),
     ),
     Mutant(
+        "seed needs three terms",
+        PRODUCTS,
+        "if len(seed) > 1:",
+        "if len(seed) > 2:",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
         "cmd_scan always exits 0",
         "src/qvanish/cli.py",
         "1 if violated else 0,",
@@ -171,6 +178,27 @@ MUTANTS = (
         PARTITIONS,
         "ParityCountPair((total + signed) // 2, (total - signed) // 2)",
         "ParityCountPair((total - signed) // 2, (total + signed) // 2)",
+        ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "parity class window stops below n_max",
+        PARTITIONS,
+        '"minus"), n_max + 1)',
+        '"minus"), n_max)',
+        ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "parity spec sides swapped",
+        PARTITIONS,
+        "m * k, (f.offset for f in spec.denominator), (f.offset for f in spec.numerator)",
+        "m * k, (f.offset for f in spec.numerator), (f.offset for f in spec.denominator)",
+        ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "parity total expanded with sign -1",
+        PARTITIONS,
+        "_expand(parity_spec(m, k, s, t), n_max, 1)",
+        "_expand(parity_spec(m, k, s, t), n_max, -1)",
         ("tests/test_partitions.py",),
     ),
     Mutant(
