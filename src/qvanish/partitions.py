@@ -20,9 +20,9 @@ Two combinatorial consequences of the vanishing theorems live here:
   sum runs over the finitely many j that keep the argument nonnegative; and
 * the parity split: among partitions into repeatable parts = +-r and
   distinct parts = +-(r - tk) (mod mk), the counts with an even and an odd
-  total number of parts agree on a whole residue class of n mod k.  Each part
-  weighted by -1, this is the normalized ``minus`` quotient, which
-  vanishing.verify_vanishing checks.
+  total number of parts agree on a whole residue class of n mod k.  Its
+  product with each part weighted by -1 is the normalized ``minus``
+  quotient, so vanishing.verify_vanishing checks that class.
 """
 
 from __future__ import annotations

@@ -475,7 +475,8 @@ def test_pairing_rules_leave_no_symbol_behind(monkeypatch, linear_expand):
         assert expand_product(spec, 200) == linear_expand(spec, 200), spec
         assert calls == {"mul": 0, "div": 0} and sparse == {"mul": 0, "div": divides}, spec
     # below q^13 the theta series of (q^3, q^4; q^7) has two terms besides 1, so
-    # it is seeded, not multiplied; the pentagonal series, one term, divides twice
+    # it is seeded, not multiplied; the pentagonal series of q^7, one term here,
+    # is divided out twice (the pair's and the denominator's)
     spec = ProductSpec(1, 0, pochhammer((3, 4), 7), pochhammer((7,), 7))
     calls.update(mul=0, div=0)
     sparse.update(mul=0, div=0)
