@@ -39,9 +39,10 @@ def at_least(name: str, value: int, low: int) -> None:
 class Frozen:
     """Base of the package's value types: immutable, slotted, compared by fields.
 
-    A subclass lists its fields in ``__slots__``, in constructor order, and
-    its ``__init__`` validates the arguments and stores each field with
-    ``object.__setattr__``.  The base gives it read-only fields, ``_fields``
+    A subclass lists its fields in ``__slots__``, in constructor order.  Its
+    ``__init__`` validates and normalizes the arguments, then passes the final
+    values to ``Frozen.__init__`` in field order, the one place a field is
+    written.  The base gives it read-only fields, ``_fields``
     (the field names) and ``_asdict()``, ``==`` over the field values with
     the exact same type only, the hash of the tuple of field values, the
     repr ``Name(field=value, ...)`` and pickling through the constructor.
@@ -66,6 +67,12 @@ class Frozen:
             return hash(get(self))
 
         cls._fields, cls.__eq__, cls.__hash__ = fields, __eq__, __hash__
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"expected {len(self._fields)} field values, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _asdict(self) -> dict:
         return {name: getattr(self, name) for name in self._fields}

@@ -86,10 +86,7 @@ class RestrictedPartitionSpec(Frozen):
             raise InvalidParams("residue 0 is only allowed among repeatable residues")
         if max_part is not None:
             at_least("max_part", max_part, 1)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "repeatable_residues", repeatable)
-        object.__setattr__(self, "distinct_residues", distinct)
-        object.__setattr__(self, "max_part", max_part)
+        super().__init__(modulus, repeatable, distinct, max_part)
 
     def parts_up_to(self, limit: int) -> tuple[list[int], list[int]]:
         """Allowed (repeatable, distinct) part sizes <= limit, each ascending."""
@@ -123,7 +120,7 @@ class Partition(Frozen):
         parts = tuple(sorted(parts))
         if parts and parts[0] < 1:
             raise InvalidParams(f"parts must be positive, got {parts[0]}")
-        object.__setattr__(self, "parts", parts)
+        super().__init__(parts)
 
     @property
     def num_parts(self) -> int:
@@ -190,10 +187,7 @@ class SignedTerm(Frozen):
     __slots__ = ("j", "argument", "count", "signed")
 
     def __init__(self, j: int, argument: int, count: int, signed: int):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "argument", argument)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "signed", signed)
+        super().__init__(j, argument, count, signed)
 
 
 def _count_spec(m: int, k: int, r: int) -> RestrictedPartitionSpec:
@@ -258,10 +252,7 @@ class ParityIdentityReport(Frozen):
         n_max: int,
         violations: tuple[tuple[int, int, int], ...],  # (n, even, odd)
     ):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "residue_class", residue_class)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "violations", violations)
+        super().__init__(params, residue_class, n_max, violations)
 
     @property
     def ok(self) -> bool:

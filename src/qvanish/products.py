@@ -92,9 +92,7 @@ class PochhammerFactor(Frozen):
             raise InvalidParams(f"arg_sign must be +1 or -1, got {arg_sign}")
         at_least("offset", offset, 1)
         at_least("modulus", modulus, 1)
-        object.__setattr__(self, "arg_sign", arg_sign)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "modulus", modulus)
+        super().__init__(arg_sign, offset, modulus)
 
     def __str__(self) -> str:
         x = f"q^{self.offset}" if self.offset != 1 else "q"
@@ -128,10 +126,7 @@ class ProductSpec(Frozen):
     ):
         if prefactor_sign not in (1, -1):
             raise InvalidParams(f"prefactor_sign must be +1 or -1, got {prefactor_sign}")
-        object.__setattr__(self, "prefactor_sign", prefactor_sign)
-        object.__setattr__(self, "prefactor_exponent", prefactor_exponent)
-        object.__setattr__(self, "numerator", tuple(numerator))
-        object.__setattr__(self, "denominator", tuple(denominator))
+        super().__init__(prefactor_sign, prefactor_exponent, tuple(numerator), tuple(denominator))
 
     def __str__(self) -> str:
         pre = ""
@@ -457,10 +452,7 @@ class BilateralSpecialization(Frozen):
             raise InvalidParams(f"need 1 <= t < m, got t={t}, m={m}")
         if not 1 <= r < m * k:
             raise InvalidParams(f"need 1 <= r < m*k = {m * k}, got r={r}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "r", r)
+        super().__init__(m, k, t, r)
 
 
 def _add_geometric(
@@ -538,10 +530,7 @@ class IdentityCheck(Frozen):
     def __init__(
         self, ok: bool, exponent: int | None = None, lhs: int | None = None, rhs: int | None = None
     ):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+        super().__init__(ok, exponent, lhs, rhs)
 
     def __bool__(self) -> bool:
         return self.ok

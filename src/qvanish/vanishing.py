@@ -71,8 +71,7 @@ class ResidueClass(Frozen):
 
     def __init__(self, modulus: int, residue: int):
         at_least("modulus", modulus, 1)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residue", residue % modulus)
+        super().__init__(modulus, residue % modulus)
 
     def contains(self, e: int) -> bool:
         return e % self.modulus == self.residue
@@ -100,11 +99,7 @@ class ShiftedQuotientParams(Frozen):
             raise InvalidParams(f"gcd(r, k) != 1 for r=sm+t={r}, k={k}")
         if sign == "minus" and k % 2 == 0:
             raise InvalidParams(f"the minus family requires odd k, got k={k}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "sign", sign)
+        super().__init__(m, k, s, t, sign)
 
     @property
     def r(self) -> int:
@@ -167,8 +162,7 @@ class AndrewsBressoudParams(_Embedded):
             raise InvalidParams(f"gcd(r, k) != 1 for r={r}, k={k}")
         if r % 2 == k % 2:
             raise InvalidParams(f"r and k must have opposite parity, got r={r}, k={k}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "r", r)
+        super().__init__(k, r)
 
     def shifted(self) -> ShiftedQuotientParams:
         # its r = 2s + 1 is k - r, odd since r and k have opposite parity
@@ -202,10 +196,7 @@ class AlladiGordonParams(_Embedded):
             raise InvalidParams(f"sign must be 'plus' or 'minus', got {sign!r}")
         if sign == "minus" and k % 2 == 0:
             raise InvalidParams(f"the minus variant requires odd k, got k={k}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "sign", sign)
+        super().__init__(m, k, s, sign)
 
     @property
     def r_star(self) -> int:
@@ -283,14 +274,9 @@ class VanishingReport(Frozen):
         violations: tuple[tuple[int, int], ...],
         observed_zero_classes: tuple[ResidueClass, ...],
     ):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "zero_class", zero_class)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "observed_zero_classes", observed_zero_classes)
+        super().__init__(
+            family, params, r, spec, order, zero_class, violations, observed_zero_classes
+        )
 
     @property
     def verified(self) -> bool:
@@ -360,18 +346,13 @@ class ScanResult(Frozen):
     __slots__ = ("reports", "skipped")
 
     def __init__(self, reports: tuple[VanishingReport, ...], skipped: tuple[tuple[dict, str], ...]):
-        object.__setattr__(self, "reports", reports)
-        object.__setattr__(self, "skipped", skipped)
+        super().__init__(reports, skipped)
 
     def __iter__(self) -> Iterator[VanishingReport]:
         return iter(self.reports)
 
     def __len__(self) -> int:
         return len(self.reports)
-
-    @property
-    def all_verified(self) -> bool:
-        return all(rep.verified for rep in self.reports)
 
 
 def _verify_tuple(job: tuple[TheoremParams, int]) -> VanishingReport:

@@ -78,7 +78,7 @@ def test_criterion_01_richmond_szekeres_fixtures():
 
 def test_criterion_02_two_parameter_family_sweep():
     result = scan(range(2, 13), range(2, 3), 1000, "ab")
-    ok = result.all_verified and len(result.reports) == 31
+    ok = all(r.verified for r in result) and len(result.reports) == 31
     check(
         2,
         f"all {len(result.reports)} valid (k, r) pairs with k <= 12 verified at order 1000",
@@ -94,7 +94,7 @@ def test_criterion_03_shifted_quotient_sweep():
         if report.params["s"] * report.params["m"] + report.params["t"]
         < report.params["t"] * report.params["k"]
     )
-    ok = result.all_verified and len(result.reports) > 600 and negative_offsets > 100
+    ok = all(r.verified for r in result) and len(result.reports) > 600 and negative_offsets > 100
     check(
         3,
         f"all {len(result.reports)} tuples with m, k <= 8 verified at order 1000 "
@@ -106,7 +106,7 @@ def test_criterion_03_shifted_quotient_sweep():
 def test_criterion_04_sign_flipped_sweep():
     result = scan(range(2, 9), range(2, 9), 1000, "minus")
     odd_only = all(report.params["k"] % 2 == 1 for report in result.reports)
-    ok = result.all_verified and odd_only and len(result.reports) > 300
+    ok = all(r.verified for r in result) and odd_only and len(result.reports) > 300
     check(
         4,
         f"all {len(result.reports)} odd-k tuples with m, k <= 8 verified at order 1000",

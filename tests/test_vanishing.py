@@ -14,7 +14,7 @@ import pytest
 
 import qvanish
 from qvanish import InvalidParams, LaurentSeries
-from qvanish.errors import replace
+from qvanish.errors import Frozen, replace
 from qvanish.products import (
     BilateralSpecialization,
     IdentityCheck,
@@ -420,6 +420,18 @@ def test_value_types_are_frozen_slotted_and_picklable():
         assert type(copy) is cls and copy == value and repr(copy) == expected
 
 
+def test_frozen_stores_one_value_per_field_in_order():
+    class Pair(Frozen):
+        __slots__ = ("a", "b")
+
+    pair = Pair(1, 2)
+    assert (pair.a, pair.b) == (1, 2)
+    with pytest.raises(TypeError):
+        Pair(1)
+    with pytest.raises(TypeError):
+        Pair(1, 2, 3)
+
+
 def test_replace_validates_the_new_value():
     with pytest.raises(InvalidParams):
         replace(RestrictedPartitionSpec(30, {0, 1}), max_part=0)
@@ -494,7 +506,7 @@ def test_scan_counts_and_orders():
     # candidate grid: for each m, k the pairs (s, t) number k*(m-1)
     total = sum(k * (m - 1) for m in range(2, 5) for k in range(2, 5))
     assert len(result) + len(result.skipped) == total
-    assert result.all_verified
+    assert all(r.verified for r in result)
     keys = [(r.params["m"], r.params["k"], r.params["s"], r.params["t"]) for r in result]
     assert keys == sorted(keys)
     assert all("gcd" in reason for _, reason in result.skipped)
@@ -502,7 +514,7 @@ def test_scan_counts_and_orders():
 
 def test_scan_ab_family_case_insensitive():
     result = scan(range(2, 8), (), 200, "AB")
-    assert result.all_verified and len(result) > 0
+    assert all(r.verified for r in result) and len(result) > 0
     assert all(rep.family == "ab" for rep in result)
     # skipped tuples carry reasons (same parity or shared factor)
     assert len(result.skipped) > 0
@@ -512,7 +524,7 @@ def test_scan_ag_enumerates_both_signs():
     result = scan(range(5, 6), range(2, 3), 250, "ag")  # m=2, k=5
     signs = {rep.params["sign"] for rep in result}
     assert signs == {"plus", "minus"}
-    assert result.all_verified
+    assert all(r.verified for r in result)
 
 
 def test_scan_minus_skips_even_k():

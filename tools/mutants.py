@@ -369,8 +369,23 @@ MUTANTS = (
     Mutant(
         "ResidueClass keeps an unreduced residue",
         VANISHING,
-        'object.__setattr__(self, "residue", residue % modulus)',
-        'object.__setattr__(self, "residue", residue)',
+        "super().__init__(modulus, residue % modulus)",
+        "super().__init__(modulus, residue)",
+        ("tests/test_vanishing.py",),
+    ),
+    Mutant(
+        "base store ignores the value count",
+        ERRORS,
+        "        if len(values) != len(self._fields):\n"
+        "            raise TypeError(f\"expected {len(self._fields)} field values, got {len(values)}\")\n",
+        "",
+        ("tests/test_vanishing.py",),
+    ),
+    Mutant(
+        "base store shifts the fields",
+        ERRORS,
+        "zip(self._fields, values)",
+        "zip(self._fields, values[1:] + values[:1])",
         ("tests/test_vanishing.py",),
     ),
 )
