@@ -53,9 +53,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import count
+from itertools import chain, count, repeat
 from math import isqrt
-from operator import add, attrgetter, itemgetter, sub
+from operator import add, attrgetter, sub
 
 from .errors import Degenerate, Frozen, InvalidParams, at_least
 from .series import LaurentSeries, _first_difference
@@ -236,45 +236,47 @@ def jtp_product_spec(M: int, a: int) -> ProductSpec:
 
 
 def _mul_sparse(coeffs: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
-    """coeffs times 1 + sum(c q^e for (e, c) in terms), every e >= 1."""
-    out = coeffs[:]
-    for e, c in terms:
-        op = add if c > 0 else sub
-        for _ in range(abs(c)):
-            out[e:] = map(op, out[e:], coeffs)
-    return out
+    """coeffs times 1 + sum(c q^e for (e, c) in terms), every e >= 1.
+
+    z_n = x_n + sum(c * x_{n-e}).  Each unit of |c| is one lag over x (or,
+    for c < 0, over one negated copy of x) led by e zeros, and one zip with
+    x first pairs them, so each coefficient costs one sum.
+    """
+    negated = [-x for x in coeffs]
+    lags = [
+        chain(repeat(0, e), coeffs if c > 0 else negated)
+        for e, c in terms
+        for _ in range(abs(c))
+    ]
+    return list(map(sum, zip(coeffs, *lags)))
 
 
 def _div_sparse(coeffs: list[int], terms: Sequence[tuple[int, int]]) -> None:
     """In place, divide by 1 + sum(c q^e for (e, c) in terms), e >= 1 ascending.
 
-    y_n = x_n - sum(c * y_{n-e}).  The quotient grows mirrored in a new list
-    both = [y_0, -y_0, y_1, -y_1, ...], two appends per coefficient, so while
-    y_n is formed y_{n-e} is both[-2e] and -y_{n-e} is both[1 - 2e].  A term
-    with c < 0 reads the first, one with c > 0 the second, and |c| > 1 is a
-    repeated offset.  Between consecutive exponents the set of terms with
-    e <= n is fixed; each such segment builds one getter over its offsets
-    (a single offset as a one-item slice), so each coefficient costs one
-    gather and one sum.
+    y_n = x_n - sum(c * y_{n-e}).  The quotient grows in two lists,
+    pos = [y_0, y_1, ...] and neg = [-y_0, -y_1, ...].  Each unit of |c| is
+    one reader, an iterator over neg if c > 0 or over pos if c < 0, that
+    opens at n = e and so reads y_{n-e} (or -y_{n-e}) as y_n is formed.
+    Between consecutive exponents the set of readers is fixed; each such
+    segment zips its slice of x, first, with every open reader, so each
+    coefficient costs one sum, and a segment ends without advancing a
+    reader.  Every reader lags by its e >= 1, so none outruns its list.
     """
     if not terms:
         return
-    both = [v for x in coeffs[: terms[0][0]] for v in (x, -x)]
-    append = both.append
-    offsets: list[int] = []
+    pos = coeffs[: terms[0][0]]
+    neg = [-x for x in pos]
+    pos_append, neg_append = pos.append, neg.append
+    readers: list[Iterator[int]] = []
     stops = [e for e, _ in terms[1:]] + [len(coeffs)]
     for (e, c), stop in zip(terms, stops):
-        offsets.extend([(1 if c > 0 else 0) - 2 * e] * abs(c))
-        if len(offsets) > 1:
-            gather = itemgetter(*offsets)
-        else:
-            i = offsets[0]
-            gather = itemgetter(slice(i, i + 1 or None))
-        for x in coeffs[e:stop]:
-            y = sum(gather(both), x)
-            append(y)
-            append(-y)
-    coeffs[:] = both[::2]
+        readers.extend(iter(neg if c > 0 else pos) for _ in range(abs(c)))
+        for y in map(sum, zip(coeffs[e:stop], *readers)):
+            pos_append(y)
+            neg_append(-y)
+    assert len(pos) == len(coeffs)
+    coeffs[:] = pos
 
 
 def _theta_series(z: int, a: int, M: int, length: int) -> tuple[tuple[int, int], ...]:

@@ -221,18 +221,24 @@ def naive_div_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> list[in
 def test_div_sparse_matches_naive_recurrence_and_inverts_mul():
     rng = random.Random(11)
     for n in (0, 1, 3, 9, 40):
+        top = max(n, 2)
         for terms in (
             [],
-            [(3, -1)],  # one term, c < 0: a one-offset getter reading +y
+            [(3, -1)],  # one term, c < 0: one reader on +y
             [(2, 1), (5, -1)],  # one term reading -y, then a second reading +y
             [(4, 1), (6, -1), (7, 1)],  # a first exponent above 1
             [(5, 2)],  # a window shorter than the first exponent when n < 5
-            [(1, 1)],  # a one-offset getter on the last slot: slice(-1, None)
-            [(1, -1)],  # a one-offset getter one slot in: slice(-2, -1)
-            [(1, 2)],  # |c| = 2 at e = 1: one offset read twice
-            [(1, -1), (2, 1)],  # from one offset at e = 1 to a two-offset getter
+            [(1, 1)],  # a reader at e = 1, one behind the growing list
+            [(1, -1)],
+            [(1, 2)],  # |c| = 2 at e = 1: two readers on one list
+            [(2, 3)],  # |c| = 3: three readers on -y
+            [(1, -3)],  # three readers on +y, each one behind
+            [(1, -1), (2, 1)],  # from one reader at e = 1 to two readers on two lists
+            [(1, 2), (3, -1)],  # a segment that opens after two readers on -y
+            [(2, -2), (3, 3), (5, 1)],  # readers on +y, then |c| > 1 on -y, then one more
+            [(1, 1), (top, -2), (top + 1, 1)],  # an exponent at the window length, one past it
             _theta_series(-1, 3, 6, n),  # the pair (q^3, q^3; q^6): |c| = 2
-            _theta_series(1, 2, 7, n),  # (-q^2, -q^5; q^7): every c > 0, every offset reads -y
+            _theta_series(1, 2, 7, n),  # (-q^2, -q^5; q^7): every c > 0, every reader on -y
             _theta_series(-1, 4, 9, n),
         ):
             for big in (False, True):
@@ -241,6 +247,7 @@ def test_div_sparse_matches_naive_recurrence_and_inverts_mul():
                     x = [c * 2**70 + rng.randrange(2**64) for c in x]
                 y = list(x)
                 _div_sparse(y, terms)
+                assert len(y) == n, (n, terms)
                 assert y == naive_div_sparse(x, terms), (n, terms)
                 assert _mul_sparse(y, terms) == x, (n, terms)
 

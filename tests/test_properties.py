@@ -1,8 +1,8 @@
 """Property tests: expand_product against the plain linear expansion of the
 linear_expand fixture, on random factor lists and on random theorem-family
 quotients, the negative controls of the identity checks, series inversion
-against the naive product, and the sparse division kernel against its
-recurrence."""
+against the naive product, and the sparse kernels against their recurrence
+and convolution."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from qvanish.products import (  # noqa: E402
     expand_product,
     jtp_theta,
     _div_sparse,
+    _mul_sparse,
     pochhammer,
     verify_1psi1,
 )
@@ -250,3 +251,27 @@ def test_div_sparse_matches_its_recurrence(terms, x):
     y = list(x)
     _div_sparse(y, terms)
     assert y == recurrence_div(x, terms)
+
+
+def convolution_mul(x, terms):
+    """z_n = x_n + sum(c * x_{n-e}), one term at a time onto a copy of x."""
+    z = list(x)
+    for e, c in terms:
+        for n in range(e, len(x)):
+            z[n] += c * x[n - e]
+    return z
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sparse_terms(),
+    st.one_of(
+        st.lists(st.integers(-50, 50), max_size=60),
+        st.lists(st.integers(-(2**80), 2**80), max_size=60),
+    ),
+)
+def test_mul_sparse_matches_its_convolution(terms, x):
+    y = list(x)
+    z = _mul_sparse(y, terms)
+    assert y == x
+    assert z == convolution_mul(x, terms)

@@ -111,38 +111,45 @@ MUTANTS = (
         ("tests/test_products.py",),
     ),
     Mutant(
-        "_div_sparse sign swapped",
+        "_div_sparse reader lists swapped",
         PRODUCTS,
-        "(1 if c > 0 else 0)",
-        "(1 if c < 0 else 0)",
+        "iter(neg if c > 0 else pos)",
+        "iter(pos if c > 0 else neg)",
         ("tests/test_products.py",),
     ),
     Mutant(
-        "_div_sparse mirrored offset reads +y where -y is due",
+        "_div_sparse reader starts one coefficient late",
         PRODUCTS,
-        "(1 if c > 0 else 0)",
-        "(0 if c > 0 else 0)",
+        "readers.extend(iter(neg if c > 0 else pos)",
+        "readers.extend(chain([0], neg if c > 0 else pos)",
         ("tests/test_products.py",),
     ),
     Mutant(
-        "_div_sparse reads y one exponent late",
+        "_div_sparse first segment one coefficient short",
         PRODUCTS,
-        "- 2 * e] * abs(c)",
-        "- 2 * e + 2] * abs(c)",
+        "pos = coeffs[: terms[0][0]]",
+        "pos = coeffs[: terms[0][0] - 1]",
         ("tests/test_products.py",),
     ),
     Mutant(
-        "_div_sparse starts out one coefficient short",
+        "_div_sparse one reader per term instead of |c|",
         PRODUCTS,
-        "for x in coeffs[: terms[0][0]]",
-        "for x in coeffs[: terms[0][0] - 1]",
+        "else pos) for _ in range(abs(c))",
+        "else pos) for _ in range(1)",
         ("tests/test_products.py",),
     ),
     Mutant(
-        "_div_sparse one-offset getter ends one slot early",
+        "_div_sparse appends +y to neg",
         PRODUCTS,
-        "slice(i, i + 1 or None)",
-        "slice(i, i + 1)",
+        "neg_append(-y)",
+        "neg_append(y)",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "_mul_sparse lag led by one zero too few",
+        PRODUCTS,
+        "chain(repeat(0, e),",
+        "chain(repeat(0, e - 1),",
         ("tests/test_products.py",),
     ),
     Mutant(
