@@ -12,9 +12,10 @@ triple product, and any symbol left over stays whole.  Any series or symbol
 in both the numerator and the denominator cancels.  A theta series
 multiplies or divides in O(order * sqrt(order / M)).
 
-A linear factor (1 -+ q^e) is one pass: a multiply is one map that subtracts
-or adds the series shifted by e from itself, a divide adds or subtracts each
-block of e coefficients into the next.  Both cost O(order).  A whole symbol,
+Every kernel takes the window and returns the new window, and its caller
+rebinds, coeffs = kernel(coeffs, ...); no kernel writes its input.  A
+multiply by (1 -+ q^e) reads its input e places back, a divide its own
+output.  Both are one pass, O(order).  A whole symbol,
 p = q^M, multiplies by Euler's series and divides by Cauchy's:
 
     (x; p)_inf   = sum_{n>=0} (-x)^n p^{n(n-1)/2} / (p; p)_n,
@@ -144,24 +145,25 @@ class ProductSpec(Frozen):
 # -- expansion ---------------------------------------------------------------
 
 
-def _mul_linear(coeffs: list[int], e: int, sign: int) -> None:
-    """In place, multiply by (1 - sign*q^e): y_n = x_n - sign*x_{n-e}.
+def _mul_linear(coeffs: list[int], e: int, sign: int) -> list[int]:
+    """coeffs times (1 - sign*q^e): z_n = x_n - sign*x_{n-e}."""
+    z = coeffs[:e]
+    z.extend(map(sub if sign == 1 else add, coeffs[e:], coeffs))
+    return z
 
-    The slice assignment reads the whole map before it writes, so every
-    x_{n-e} is still the old coefficient.
+
+def _div_linear(coeffs: list[int], e: int, sign: int) -> list[int]:
+    """coeffs divided by (1 - sign*q^e): y_n = x_n + sign*y_{n-e}.
+
+    extend appends each y_n as the map forms it, and the map's iterator
+    over y stays e >= 1 places behind, so it reads only final coefficients.
+    A runtime whose extend drew the whole map first would stop short, and
+    the assert says so.
     """
-    coeffs[e:] = map(sub if sign == 1 else add, coeffs[e:], coeffs)
-
-
-def _div_linear(coeffs: list[int], e: int, sign: int) -> None:
-    """In place, divide by (1 - sign*q^e): y_n = x_n + sign*y_{n-e}.
-
-    Each block of e coefficients depends only on the block before it, which
-    is final by then, so one map per block suffices.
-    """
-    op = add if sign == 1 else sub
-    for i in range(e, len(coeffs), e):
-        coeffs[i : i + e] = map(op, coeffs[i : i + e], coeffs[i - e : i])
+    y = coeffs[:e]
+    y.extend(map(add if sign == 1 else sub, coeffs[e:], y))
+    assert len(y) == len(coeffs)
+    return y
 
 
 def expand_factor(f: PochhammerFactor, order: int) -> LaurentSeries:
@@ -173,7 +175,7 @@ def expand_factor(f: PochhammerFactor, order: int) -> LaurentSeries:
     at_least("order", order, 0)
     coeffs = [1] + [0] * (order - 1) if order else []
     for e in range(f.offset, order, f.modulus):
-        _mul_linear(coeffs, e, f.arg_sign)
+        coeffs = _mul_linear(coeffs, e, f.arg_sign)
     return LaurentSeries(0, coeffs, order)
 
 
@@ -251,8 +253,8 @@ def _mul_sparse(coeffs: list[int], terms: Sequence[tuple[int, int]]) -> list[int
     return list(map(sum, zip(coeffs, *lags)))
 
 
-def _div_sparse(coeffs: list[int], terms: Sequence[tuple[int, int]]) -> None:
-    """In place, divide by 1 + sum(c q^e for (e, c) in terms), e >= 1 ascending.
+def _div_sparse(coeffs: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
+    """coeffs divided by 1 + sum(c q^e for (e, c) in terms), e >= 1 ascending.
 
     y_n = x_n - sum(c * y_{n-e}).  The quotient grows in two lists,
     pos = [y_0, y_1, ...] and neg = [-y_0, -y_1, ...].  Each unit of |c| is
@@ -264,7 +266,7 @@ def _div_sparse(coeffs: list[int], terms: Sequence[tuple[int, int]]) -> None:
     reader.  Every reader lags by its e >= 1, so none outruns its list.
     """
     if not terms:
-        return
+        return coeffs
     pos = coeffs[: terms[0][0]]
     neg = [-x for x in pos]
     pos_append, neg_append = pos.append, neg.append
@@ -276,7 +278,7 @@ def _div_sparse(coeffs: list[int], terms: Sequence[tuple[int, int]]) -> None:
             pos_append(y)
             neg_append(-y)
     assert len(pos) == len(coeffs)
-    coeffs[:] = pos
+    return pos
 
 
 def _theta_series(z: int, a: int, M: int, length: int) -> tuple[tuple[int, int], ...]:
@@ -338,9 +340,9 @@ def _horner(coeffs: list[int], f: PochhammerFactor, divide: bool) -> list[int]:
     op = add if (x if divide else -x) > 0 else sub
     r = coeffs[: windows[-1]]
     for n in range(len(windows) - 1, 0, -1):
-        _div_linear(r, M * n, 1)
+        r = _div_linear(r, M * n, 1)
         if divide:
-            _div_linear(r, a + M * (n - 1), x)
+            r = _div_linear(r, a + M * (n - 1), x)
         outer = coeffs[: windows[n - 1]]
         shift = windows[n - 1] - windows[n]
         outer[shift:] = map(op, outer[shift:], r)
@@ -423,11 +425,9 @@ def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
             if isinstance(key, PochhammerFactor):
                 coeffs = _horner(coeffs, key, n < 0)
             elif len(key) == 1 and abs(key[0][1]) == 1:
-                (_mul_linear if n > 0 else _div_linear)(coeffs, key[0][0], -key[0][1])
-            elif n > 0:
-                coeffs = _mul_sparse(coeffs, key)
+                coeffs = (_mul_linear if n > 0 else _div_linear)(coeffs, key[0][0], -key[0][1])
             else:
-                _div_sparse(coeffs, key)
+                coeffs = (_mul_sparse if n > 0 else _div_sparse)(coeffs, key)
     return LaurentSeries(0, coeffs, length).monomial_mul(
         spec.prefactor_sign, spec.prefactor_exponent
     )
@@ -546,25 +546,20 @@ def compare_series(lhs: LaurentSeries, rhs: LaurentSeries) -> IdentityCheck:
     return IdentityCheck(False, e, lhs.coeff_at(e), rhs.coeff_at(e))
 
 
-def verify_1psi1(
-    p: BilateralSpecialization, order: int, rhs_spec: ProductSpec | None = None
-) -> IdentityCheck:
+def verify_1psi1(p: BilateralSpecialization, order: int) -> IdentityCheck:
     """Check -q^{-tk} * (bilateral sum) against its closed product form.
 
     Both sides are expanded independently: the left from the two Lambert-type
-    sums, the right from bilateral_product_spec(p) (or an explicitly supplied
-    spec, which lets tests run deliberately broken right sides) through
-    expand_product.  Every factor of bilateral_product_spec pairs up, so by
-    the triple product the right side is (q^{mk}; q^{mk})^3 theta / (theta
-    theta), all sparse series.  Returns a truthy
-    IdentityCheck, or a falsy one carrying the first disagreement.
+    sums, the right from bilateral_product_spec(p) through expand_product.
+    Every factor of bilateral_product_spec pairs up, so by the triple
+    product the right side is (q^{mk}; q^{mk})^3 theta / (theta theta), all
+    sparse series.  Returns a truthy IdentityCheck, or a falsy one carrying
+    the first disagreement.
     """
     at_least("order", order, 0)
     tk = p.t * p.k
     lhs = lambert_series(p, order + tk).monomial_mul(-1, -tk)
-    if rhs_spec is None:
-        rhs_spec = bilateral_product_spec(p)
-    rhs = expand_product(rhs_spec, order)
+    rhs = expand_product(bilateral_product_spec(p), order)
     return compare_series(lhs, rhs)
 
 

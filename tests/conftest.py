@@ -20,10 +20,10 @@ def _linear_expand(spec, order):
     coeffs = [1] + [0] * (length - 1)
     for f in spec.numerator:
         for e in range(f.offset, length, f.modulus):
-            _mul_linear(coeffs, e, f.arg_sign)
+            coeffs = _mul_linear(coeffs, e, f.arg_sign)
     for f in spec.denominator:
         for e in range(f.offset, length, f.modulus):
-            _div_linear(coeffs, e, f.arg_sign)
+            coeffs = _div_linear(coeffs, e, f.arg_sign)
     return LaurentSeries(0, coeffs, length).monomial_mul(
         spec.prefactor_sign, spec.prefactor_exponent
     )

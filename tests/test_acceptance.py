@@ -8,7 +8,9 @@ checklist; the assertions carry the same condition.
 from __future__ import annotations
 
 import random
+from unittest.mock import patch
 
+import qvanish.products
 from qvanish.cli import main
 from qvanish.errors import InvalidParams
 from qvanish.partitions import (
@@ -182,7 +184,8 @@ def test_criterion_07_bilateral_sum_identity():
     broken = ProductSpec(
         good.prefactor_sign, good.prefactor_exponent, good.numerator[1:], good.denominator
     )
-    negative = verify_1psi1(p, 300, rhs_spec=broken)
+    with patch.object(qvanish.products, "bilateral_product_spec", return_value=broken):
+        negative = verify_1psi1(p, 300)
     ok = ok and not negative.ok and negative.exponent is not None
     check(7, f"bilateral summation verified on {checked} tuples; negative control fails", ok)
 

@@ -1,10 +1,12 @@
 """Property tests: expand_product against the plain linear expansion of the
 linear_expand fixture, on random factor lists and on random theorem-family
 quotients, the negative controls of the identity checks, series inversion
-against the naive product, and the sparse kernels against their recurrence
-and convolution."""
+against the naive product, and the linear and sparse kernels against their
+recurrences and convolution."""
 
 from __future__ import annotations
+
+from unittest.mock import patch
 
 import pytest
 
@@ -12,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import qvanish.products  # noqa: E402
 from qvanish import InvalidParams, LaurentSeries  # noqa: E402
 from qvanish.products import (  # noqa: E402
     BilateralSpecialization,
@@ -22,7 +25,9 @@ from qvanish.products import (  # noqa: E402
     expand_factor,
     expand_product,
     jtp_theta,
+    _div_linear,
     _div_sparse,
+    _mul_linear,
     _mul_sparse,
     pochhammer,
     verify_1psi1,
@@ -185,7 +190,8 @@ def test_1psi1_rejects_a_right_side_missing_one_factor(p, data):
     dropped = (num if in_numerator else den).pop(i)
     broken = ProductSpec(spec.prefactor_sign, spec.prefactor_exponent, num, den)
     order = data.draw(st.integers(p.m * p.k + 1, 3 * p.m * p.k))
-    chk = verify_1psi1(p, order, rhs_spec=broken)
+    with patch.object(qvanish.products, "bilateral_product_spec", return_value=broken):
+        chk = verify_1psi1(p, order)
     assert not chk
     assert chk.exponent == spec.prefactor_exponent + dropped.offset
 
@@ -223,6 +229,46 @@ def test_unit_times_its_inverse_is_one(u):
     assert prod == [1] + [0] * (len(a) - 1)
 
 
+# windows of small coefficients, and of coefficients past 64-bit machine integers
+coefficient_lists = st.one_of(
+    st.lists(st.integers(-50, 50), max_size=60),
+    st.lists(st.integers(-(2**80), 2**80), max_size=60),
+)
+
+
+def recurrence_mul_linear(x, e, sign):
+    """z_n = x_n - sign * x_{n-e}, one coefficient at a time."""
+    return [xn - sign * x[n - e] if n >= e else xn for n, xn in enumerate(x)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_lists, signs, st.data())
+def test_mul_linear_matches_its_recurrence(x, sign, data):
+    e = data.draw(st.integers(1, len(x) + 2))  # up to past the window
+    y = list(x)
+    z = _mul_linear(y, e, sign)
+    assert y == x
+    assert z == recurrence_mul_linear(x, e, sign)
+
+
+def recurrence_div_linear(x, e, sign):
+    """y_n = x_n + sign * y_{n-e}, one coefficient at a time."""
+    y = []
+    for n, xn in enumerate(x):
+        y.append(xn + sign * y[n - e] if n >= e else xn)
+    return y
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_lists, signs, st.data())
+def test_div_linear_matches_its_recurrence(x, sign, data):
+    e = data.draw(st.integers(1, len(x) + 2))  # up to past the window
+    y = list(x)
+    z = _div_linear(y, e, sign)
+    assert y == x
+    assert z == recurrence_div_linear(x, e, sign)
+
+
 def recurrence_div(x, terms):
     """y_n = x_n - sum(c * y_{n-e}), one coefficient at a time."""
     y = []
@@ -240,17 +286,12 @@ def sparse_terms(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    sparse_terms(),
-    st.one_of(
-        st.lists(st.integers(-50, 50), max_size=60),
-        st.lists(st.integers(-(2**80), 2**80), max_size=60),
-    ),
-)
+@given(sparse_terms(), coefficient_lists)
 def test_div_sparse_matches_its_recurrence(terms, x):
     y = list(x)
-    _div_sparse(y, terms)
-    assert y == recurrence_div(x, terms)
+    z = _div_sparse(y, terms)
+    assert y == x
+    assert z == recurrence_div(x, terms)
 
 
 def convolution_mul(x, terms):
@@ -263,13 +304,7 @@ def convolution_mul(x, terms):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    sparse_terms(),
-    st.one_of(
-        st.lists(st.integers(-50, 50), max_size=60),
-        st.lists(st.integers(-(2**80), 2**80), max_size=60),
-    ),
-)
+@given(sparse_terms(), coefficient_lists)
 def test_mul_sparse_matches_its_convolution(terms, x):
     y = list(x)
     z = _mul_sparse(y, terms)

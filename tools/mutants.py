@@ -99,7 +99,7 @@ MUTANTS = (
     Mutant(
         "Cauchy level without its divisor (1 - x q^{M(n-1)})",
         PRODUCTS,
-        "_div_linear(r, a + M * (n - 1), x)",
+        "r = _div_linear(r, a + M * (n - 1), x)",
         "pass",
         ("tests/test_products.py",),
     ),
@@ -108,6 +108,27 @@ MUTANTS = (
         PRODUCTS,
         "if len(head) <= passes:",
         "if len(head) < passes:",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "_div_linear reads its input, not its own output",
+        PRODUCTS,
+        "coeffs[e:], y))",
+        "coeffs[e:], coeffs))",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "_mul_linear reads its own output, not its input",
+        PRODUCTS,
+        "coeffs[e:], coeffs))",
+        "coeffs[e:], z))",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "_div_linear add and sub swapped",
+        PRODUCTS,
+        "map(add if sign == 1 else sub,",
+        "map(sub if sign == 1 else add,",
         ("tests/test_products.py",),
     ),
     Mutant(
