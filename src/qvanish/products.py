@@ -6,11 +6,12 @@ The objects here are quotients of q-Pochhammer symbols
 
 truncated to a finite exponent window.  A finite product needs no form of
 its own: (x; q^M)_N = (x; q^M)_inf / (x q^{NM}; q^M)_inf.  expand_product is
-the one entry point.  Every factor becomes a key with a signed power: pairs
+the one entry point, and _plan decides on plain tuples what it runs: pairs
 (x q^a, x q^{M-a}; q^M) and each (q^M; q^M) become sparse theta series by the
-triple product, and any symbol left over stays whole.  Any series or symbol
-in both the numerator and the denominator cancels.  A theta series
-multiplies or divides in O(order * sqrt(order / M)).
+triple product, keyed by their (e, c) terms, and any other symbol stays whole,
+keyed (x, a, M).  Each key has a signed power, so any series or symbol in both
+the numerator and the denominator cancels.  A theta series multiplies or
+divides in O(order * sqrt(order / M)).
 
 Every kernel takes the window and returns the new window, and its caller
 rebinds, coeffs = kernel(coeffs, ...); no kernel writes its input.  A
@@ -56,7 +57,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, count, repeat
 from math import isqrt
-from operator import add, attrgetter, sub
+from operator import add, sub
 
 from .errors import Degenerate, Frozen, InvalidParams, at_least
 from .series import LaurentSeries, _first_difference
@@ -315,82 +316,91 @@ def _split_pairs(factors: Sequence[PochhammerFactor]):
     return pool, thetas
 
 
-def _windows(f: PochhammerFactor, divide: bool, length: int) -> list[int]:
-    """length - E_n for the levels n = 0, 1, ... of Euler's (or to divide, Cauchy's) series for f.
+def _windows(symbol: tuple[int, int, int], divide: bool, length: int) -> list[int]:
+    """length - E_n for the levels n = 0, 1, ... of symbol's Euler (or to divide, Cauchy) series.
 
     Only levels whose window is not empty are listed.
     """
-    step = f.modulus * (2 if divide else 1)
-    windows, w, d = [], length, f.offset
+    _, a, M = symbol
+    step = M * (2 if divide else 1)
+    windows, w, d = [], length, a
     while w > 0:
         windows.append(w)
         w, d = w - d, d + step
     return windows
 
 
-def _passes(f: PochhammerFactor, divide: bool, length: int) -> int:
+def _passes(symbol: tuple[int, int, int], divide: bool, length: int) -> int:
     """The linear passes _horner makes: one per Euler level, two per Cauchy level."""
-    return (len(_windows(f, divide, length)) - 1) * (1 + divide)
+    return (len(_windows(symbol, divide, length)) - 1) * (1 + divide)
 
 
-def _horner(coeffs: list[int], f: PochhammerFactor, divide: bool) -> list[int]:
-    """coeffs times f by Euler's series, or divided by f by Cauchy's, by Horner nesting."""
-    x, a, M = f.arg_sign, f.offset, f.modulus
-    windows = _windows(f, divide, len(coeffs))
+def _horner(coeffs: list[int], symbol: tuple[int, int, int], divide: bool) -> list[int]:
+    """coeffs times (x q^a; q^M) by Euler's series, or over it by Cauchy's, by Horner nesting."""
+    x, a, M = symbol
+    windows = _windows(symbol, divide, len(coeffs))
     op = add if (x if divide else -x) > 0 else sub
     r = coeffs[: windows[-1]]
     for n in range(len(windows) - 1, 0, -1):
         r = _div_linear(r, M * n, 1)
         if divide:
             r = _div_linear(r, a + M * (n - 1), x)
-        outer = coeffs[: windows[n - 1]]
         shift = windows[n - 1] - windows[n]
-        outer[shift:] = map(op, outer[shift:], r)
+        outer = coeffs[:shift]
+        outer.extend(map(op, coeffs[shift : windows[n - 1]], r))
         r = outer
     return r
 
 
-def _net_finite_products(net: Counter, length: int) -> None:
-    """In net, trade each symbol, with its partner if any, for its head's linear keys when cheaper.
+def _plan(spec: ProductSpec, length: int) -> tuple[Counter, Counter]:
+    """(series, symbols): the signed powers that expand spec on a window of length.
 
-    The rule is the module docstring's finite-product rule; symbols are
-    visited by ascending offset.
+    series is keyed by ascending (e, c) terms: the theta series of _split_pairs
+    and the linear factors ((e, -x),) that the module docstring's finite-product
+    rule trades a symbol, with its partner if any, for.  symbols is keyed by
+    the (x, a, M) left whole; the rule visits them by ascending offset.
     """
-    symbols = sorted((f for f in net if isinstance(f, PochhammerFactor)), key=attrgetter("offset"))
-    for i, f in enumerate(symbols):
-        n = net[f]
+    symbols, thetas = _split_pairs(spec.numerator)
+    den_symbols, den_thetas = _split_pairs(spec.denominator)
+    symbols.subtract(den_symbols)
+    thetas.subtract(den_thetas)
+    series: Counter = Counter()
+    for key, n in thetas.items():
+        if n:
+            series[_theta_series(*key, length)] += n
+    ordered = sorted(symbols, key=lambda s: s[1])
+    for i, (x, a, M) in enumerate(ordered):
+        n = symbols[x, a, M]
         if not n:
             continue
-        x, a, M = f.arg_sign, f.offset, f.modulus
         tail = next(
-            (g for g in symbols[i + 1 :]
-             if net[g] * n < 0 and (g.arg_sign, g.modulus, g.offset % M) == (x, M, a % M)),
+            (s for s in ordered[i + 1 :]
+             if symbols[s] * n < 0 and (s[0], s[1] % M, s[2]) == (x, a % M, M)),
             None,
         )
-        head, k, passes = range(a, length, M), n, _passes(f, n < 0, length)
+        head, k, passes = range(a, length, M), n, _passes((x, a, M), n < 0, length)
         if tail is not None:
-            head = range(a, min(tail.offset, length), M)
-            k = min(n, -net[tail]) if n > 0 else max(n, -net[tail])
+            head = range(a, min(tail[1], length), M)
+            k = min(n, -symbols[tail]) if n > 0 else max(n, -symbols[tail])
             passes += _passes(tail, n > 0, length)
         if len(head) <= passes:
-            net[f] -= k
+            symbols[x, a, M] -= k
             if tail is not None:
-                net[tail] += k
+                symbols[tail] += k
             for e in head:
-                net[((e, -x),)] += k
+                series[((e, -x),)] += k
+    series.pop((), None)
+    return series, symbols
 
 
 def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
     """Exact expansion of the denoted quotient; window [prefactor_exponent, order).
 
-    Every factor becomes a key with a signed power in one Counter: a pair or a
-    (q^M; q^M) the terms of its theta series (see _split_pairs), any other
-    symbol itself, traded for the terms of its linear factors by
-    _net_finite_products where that is cheaper.  So any series or symbol on
-    both sides cancels.  Multiplies run before divides.  A term c q^e with
-    |c| = 1 takes a linear pass, a symbol _horner, any other series a sparse
-    pass.  The multiply with the most terms, if more than one, is written into
-    the window instead of run.
+    _plan nets the quotient into signed powers of series and symbols.  The
+    multiply with the most terms, if more than one, is written into the
+    window instead of run.  Then every multiply runs, then every divide: a
+    term c q^e with |c| = 1 a linear pass, any other series a sparse pass,
+    a symbol _horner.
     """
     length = order - spec.prefactor_exponent
     if length < 0:
@@ -399,35 +409,23 @@ def expand_product(spec: ProductSpec, order: int) -> LaurentSeries:
         )
     if length == 0:
         return LaurentSeries(order, (), order)
-    num, thetas = _split_pairs(spec.numerator)
-    den, den_thetas = _split_pairs(spec.denominator)
-    thetas.subtract(den_thetas)
-    net: Counter = Counter()
-    for key, n in thetas.items():
-        if n:
-            net[_theta_series(*key, length)] += n
-    for pool, weight in ((num, 1), (den, -1)):
-        for key, n in pool.items():
-            if n:
-                net[PochhammerFactor(*key)] += weight * n
-    _net_finite_products(net, length)
-    net.pop((), None)
-
+    series, symbols = _plan(spec, length)
     coeffs = [1] + [0] * (length - 1)
-    series = (key for key, n in net.items() if n > 0 and isinstance(key, tuple))
-    seed = max(series, key=len, default=())
+    seed = max((key for key, n in series.items() if n > 0), key=len, default=())
     if len(seed) > 1:
-        net[seed] -= 1
+        series[seed] -= 1
         for e, c in seed:
             coeffs[e] += c
-    for key, n in sorted(net.items(), key=lambda item: item[1] < 0):
-        for _ in range(abs(n)):
-            if isinstance(key, PochhammerFactor):
-                coeffs = _horner(coeffs, key, n < 0)
-            elif len(key) == 1 and abs(key[0][1]) == 1:
-                coeffs = (_mul_linear if n > 0 else _div_linear)(coeffs, key[0][0], -key[0][1])
-            else:
-                coeffs = (_mul_sparse if n > 0 else _div_sparse)(coeffs, key)
+    for divide in (False, True):
+        for key, n in series.items():
+            for _ in range(-n if divide else n):
+                if len(key) == 1 and abs(key[0][1]) == 1:
+                    coeffs = (_div_linear if divide else _mul_linear)(coeffs, key[0][0], -key[0][1])
+                else:
+                    coeffs = (_div_sparse if divide else _mul_sparse)(coeffs, key)
+        for symbol, n in symbols.items():
+            for _ in range(-n if divide else n):
+                coeffs = _horner(coeffs, symbol, divide)
     return LaurentSeries(0, coeffs, length).monomial_mul(
         spec.prefactor_sign, spec.prefactor_exponent
     )

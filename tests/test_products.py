@@ -15,9 +15,10 @@ from unittest.mock import patch
 
 import pytest
 
+import qvanish.partitions
 import qvanish.products
 from qvanish import Degenerate, InvalidParams, LaurentSeries
-from qvanish.errors import replace
+from qvanish.errors import Frozen, replace
 from qvanish.partitions import RestrictedPartitionSpec, count_restricted_table
 from qvanish.products import (
     BilateralSpecialization,
@@ -35,6 +36,7 @@ from qvanish.products import (
     verify_1psi1,
 )
 from qvanish.products import _div_linear, _div_sparse, _mul_linear, _mul_sparse, _theta_series
+from qvanish.products import _passes, _plan
 
 
 def quotient(num: tuple[int, ...], den: tuple[int, ...], modulus: int) -> ProductSpec:
@@ -495,6 +497,92 @@ def test_pair_plus_cancelling_symbol_with_prefactor(linear_expand):
     for order in (-2, -1, 40, 250):
         assert expand_product(spec, order) == linear_expand(spec, order), order
 
+
+def planned_passes(spec: ProductSpec, order: int) -> dict[str, dict[str, int]]:
+    """The _mul_<kind> and _div_<kind> calls that _plan's signed powers stand for.
+
+    A series key with n > 0 is n multiplies, one fewer when it is the seed
+    written into the window, and one with n < 0 is -n divides; a one-term key
+    with |c| = 1 is linear, any other sparse.  Each time a symbol is applied
+    it costs _passes linear divides.
+    """
+    length = order - spec.prefactor_exponent
+    series, symbols = _plan(spec, length)
+    seed = max((key for key, n in series.items() if n > 0), key=len, default=())
+    passes = {kind: {"mul": 0, "div": 0} for kind in ("linear", "sparse")}
+    for key, n in series.items():
+        kind = "linear" if len(key) == 1 and abs(key[0][1]) == 1 else "sparse"
+        if n > 0:
+            passes[kind]["mul"] += n - (key == seed and len(seed) > 1)
+        else:
+            passes[kind]["div"] -= n
+    for symbol, n in symbols.items():
+        passes["linear"]["div"] += abs(n) * _passes(symbol, n < 0, length)
+    return passes
+
+
+def test_plan_predicts_every_kernel_pass(monkeypatch):
+    # the quotients of the pass-count tests above: pairing rules, mixed moduli,
+    # a one-factor symbol, and the quotients that part caps make
+    specs = [
+        (ProductSpec(1, 0, pochhammer((3, 4), 7), pochhammer((7,), 7)), 200),
+        (ProductSpec(1, 0, pochhammer((3, 4), 7), pochhammer((7,), 7)), 13),
+        (ProductSpec(1, 0, (), pochhammer((1, 1), 2)), 200),
+        (ProductSpec(1, 0, (), pochhammer((4, 4), 8)), 200),
+    ]
+    for seven, five, four in product(((1, 2, 3), (4, 5, 6)), ((1, 2), (3, 4)), ((3,), (1,))):
+        spec = ProductSpec(1, 0, pochhammer(seven, 7), pochhammer(five, 5) + pochhammer(four, 4))
+        specs.append((spec, 600))
+    f = PochhammerFactor(1, 3, 4)
+    specs += [(ProductSpec(1, 0, (f,), ()), 5), (ProductSpec(1, 0, (), (f,)), 5)]
+
+    def record(spec, order):
+        specs.append((spec, order))
+        return expand_product(spec, order)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(qvanish.partitions, "expand_product", record)
+        count_restricted_table(RestrictedPartitionSpec(2, {1}, max_part=7), 3000)
+        count_restricted_table(RestrictedPartitionSpec(2, (), {1}, max_part=7), 3000)
+        for cap in (21, 23):
+            count_restricted_table(RestrictedPartitionSpec(2, (), {1}, max_part=cap), 59)
+    assert len(specs) == 18
+    linear = count_linear_passes(monkeypatch)
+    sparse = count_passes(monkeypatch, "sparse")
+    seen = {"linear": {"mul": 0, "div": 0}, "sparse": {"mul": 0, "div": 0}}
+    for spec, order in specs:
+        linear.update(mul=0, div=0)
+        sparse.update(mul=0, div=0)
+        expand_product(spec, order)
+        assert {"linear": linear, "sparse": sparse} == planned_passes(spec, order), spec
+        for kind, calls in (("linear", linear), ("sparse", sparse)):
+            for key in calls:
+                seen[kind][key] += calls[key]
+    # every kind of pass but a sparse multiply ran somewhere
+    assert seen["linear"]["mul"] and seen["linear"]["div"] and seen["sparse"]["div"]
+
+
+def test_expand_product_builds_no_value_type(monkeypatch, linear_expand):
+    # the factors are validated once, in the spec; planning and the passes run
+    # on plain tuples.  (-q; q^2) over its tail (-q^25; q^2), a part cap at 23,
+    # and a generic quotient both stay unpaired symbols.
+    specs = (
+        ProductSpec(1, 0, pochhammer((1,), 2, -1), pochhammer((25,), 2, -1)),
+        ProductSpec(-1, -3, pochhammer((4, 5, 6), 7), pochhammer((1, 2), 5) + pochhammer((1,), 4)),
+    )
+    built = []
+    init = Frozen.__init__
+
+    def counted(self, *values):
+        built.append(type(self).__name__)
+        init(self, *values)
+
+    monkeypatch.setattr(Frozen, "__init__", counted)
+    for spec in specs:
+        assert expand_product(spec, 60) == linear_expand(spec, 60), spec
+    assert built == []
+    PochhammerFactor(-1, 1, 2)
+    assert built == ["PochhammerFactor"]
 
 # -- bilateral specialization --------------------------------------------------
 

@@ -64,15 +64,15 @@ MUTANTS = (
     Mutant(
         "symbol keyed without its argument sign",
         PRODUCTS,
-        "net[PochhammerFactor(*key)] += weight * n",
-        "net[PochhammerFactor(1, *key[1:])] += weight * n",
+        "Counter((f.arg_sign, f.offset, f.modulus) for f in factors)",
+        "Counter((1, f.offset, f.modulus) for f in factors)",
         ("tests/test_products.py",),
     ),
     Mutant(
         "Euler level shift off by M",
         PRODUCTS,
-        "windows, w, d = [], length, f.offset\n",
-        "windows, w, d = [], length, f.offset + (not divide) * f.modulus\n",
+        "windows, w, d = [], length, a\n",
+        "windows, w, d = [], length, a + (not divide) * M\n",
         ("tests/test_products.py",),
     ),
     Mutant(
@@ -101,6 +101,20 @@ MUTANTS = (
         PRODUCTS,
         "r = _div_linear(r, a + M * (n - 1), x)",
         "pass",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "denominator symbols netted with the numerator's sign",
+        PRODUCTS,
+        "symbols.subtract(den_symbols)",
+        "symbols.update(den_symbols)",
+        ("tests/test_products.py",),
+    ),
+    Mutant(
+        "Horner level added one coefficient late",
+        PRODUCTS,
+        "outer = coeffs[:shift]\n        outer.extend(map(op, coeffs[shift :",
+        "outer = coeffs[: shift + 1]\n        outer.extend(map(op, coeffs[shift + 1 :",
         ("tests/test_products.py",),
     ),
     Mutant(
@@ -183,8 +197,8 @@ MUTANTS = (
     Mutant(
         "seeded series also run as a multiply",
         PRODUCTS,
-        "net[seed] -= 1",
-        "net[seed] -= 0",
+        "series[seed] -= 1",
+        "series[seed] -= 0",
         ("tests/test_products.py",),
     ),
     Mutant(
@@ -253,8 +267,8 @@ MUTANTS = (
     Mutant(
         "one divide per negative count",
         PRODUCTS,
-        "for _ in range(abs(n)):",
-        "for _ in range(n if n > 0 else min(-n, 1)):",
+        "for _ in range(-n if divide else n):\n                if len(key)",
+        "for _ in range(min(-n, 1) if divide else n):\n                if len(key)",
         ("tests/test_products.py",),
     ),
     Mutant(
@@ -316,8 +330,8 @@ MUTANTS = (
     Mutant(
         "one-term series with |c| > 1 takes a linear pass",
         PRODUCTS,
-        "elif len(key) == 1 and abs(key[0][1]) == 1:",
-        "elif len(key) == 1:",
+        "if len(key) == 1 and abs(key[0][1]) == 1:",
+        "if len(key) == 1:",
         ("tests/test_products.py",),
     ),
     Mutant(
