@@ -353,7 +353,7 @@ def _horner(coeffs: list[int], symbol: tuple[int, int, int], divide: bool) -> li
 
 
 def _plan(spec: ProductSpec, length: int) -> tuple[Counter, Counter]:
-    """(series, symbols): the signed powers that expand spec on a window of length.
+    """(series, symbols): the signed powers that expand spec, length coefficients long.
 
     series is keyed by ascending (e, c) terms: the theta series of _split_pairs
     and the linear factors ((e, -x),) that the module docstring's finite-product
@@ -369,22 +369,23 @@ def _plan(spec: ProductSpec, length: int) -> tuple[Counter, Counter]:
         if n:
             series[_theta_series(*key, length)] += n
     ordered = sorted(symbols, key=lambda s: s[1])
-    for i, (x, a, M) in enumerate(ordered):
-        n = symbols[x, a, M]
+    for i, symbol in enumerate(ordered):
+        n = symbols[symbol]
         if not n:
             continue
+        x, a, M = symbol
         tail = next(
             (s for s in ordered[i + 1 :]
              if symbols[s] * n < 0 and (s[0], s[1] % M, s[2]) == (x, a % M, M)),
             None,
         )
-        head, k, passes = range(a, length, M), n, _passes((x, a, M), n < 0, length)
+        head, k, passes = range(a, length, M), n, _passes(symbol, n < 0, length)
         if tail is not None:
             head = range(a, min(tail[1], length), M)
             k = min(n, -symbols[tail]) if n > 0 else max(n, -symbols[tail])
             passes += _passes(tail, n > 0, length)
         if len(head) <= passes:
-            symbols[x, a, M] -= k
+            symbols[symbol] -= k
             if tail is not None:
                 symbols[tail] += k
             for e in head:
